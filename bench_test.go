@@ -25,6 +25,7 @@ import (
 	"autocomp/internal/fleet"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 	"autocomp/internal/workload"
@@ -140,17 +141,13 @@ func BenchmarkAblationScope(b *testing.B) {
 // BenchmarkAblationSelection compares fixed top-k against budgeted
 // dynamic-k selection (§4.3, §7) on the fleet.
 func BenchmarkAblationSelection(b *testing.B) {
-	run := func(b *testing.B, sel core.Selector) {
+	run := func(b *testing.B, selector *policy.Component) {
 		for i := 0; i < b.N; i++ {
 			clock := sim.NewClock()
 			cfg := fleet.DefaultConfig()
 			cfg.InitialTables = 500
 			f := fleet.New(cfg, clock)
-			model := fleet.DefaultModel(512 * storage.MB)
-			svc, err := f.Service(sel, model)
-			if err != nil {
-				b.Fatal(err)
-			}
+			svc := benchDataService(b, f, selector)
 			var files int64
 			for d := 0; d < 7; d++ {
 				f.AdvanceDay()
@@ -163,9 +160,22 @@ func BenchmarkAblationSelection(b *testing.B) {
 			b.ReportMetric(float64(files), "files-reduced")
 		}
 	}
-	b.Run("topk=10", func(b *testing.B) { run(b, core.TopK{K: 10}) })
-	b.Run("topk=100", func(b *testing.B) { run(b, core.TopK{K: 100}) })
-	b.Run("budget=226TBHr", func(b *testing.B) { run(b, core.BudgetSelector{BudgetGBHr: 226 * 1024}) })
+	b.Run("topk=10", func(b *testing.B) { run(b, policy.TopKSelector(10)) })
+	b.Run("topk=100", func(b *testing.B) { run(b, policy.TopKSelector(100)) })
+	b.Run("budget=226TBHr", func(b *testing.B) { run(b, policy.BudgetSelector(226*1024)) })
+}
+
+// benchDataService compiles the §7 data-compaction spec (quota-adaptive
+// ΔF vs GBHr) with the given selector on f.
+func benchDataService(b *testing.B, f *fleet.Fleet, selector *policy.Component) *core.Service {
+	b.Helper()
+	spec := policy.DefaultDataSpec(true)
+	spec.Selector = selector
+	ss, err := f.ServiceFromSpec(spec, fleet.DefaultModel(512*storage.MB), fleet.SpecRunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ss.Svc
 }
 
 // BenchmarkAblationConflictValidation measures the strict (Iceberg
@@ -426,10 +436,7 @@ func BenchmarkServiceDecide(b *testing.B) {
 	cfg := fleet.DefaultConfig()
 	cfg.InitialTables = 2000
 	f := fleet.New(cfg, clock)
-	svc, err := f.Service(core.TopK{K: 10}, fleet.DefaultModel(512*storage.MB))
-	if err != nil {
-		b.Fatal(err)
-	}
+	svc := benchDataService(b, f, policy.TopKSelector(10))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Decide(); err != nil {

@@ -6,8 +6,20 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 
 	"autocomp/internal/telemetry"
+)
+
+// Server timeouts. There is deliberately no write timeout:
+// /debug/pprof/profile?seconds=N and the run event stream legitimately
+// write for as long as the client asked.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so slow or stalled clients cannot pin connections.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left idle this long.
+	idleTimeout = 2 * time.Minute
 )
 
 // statusState is the daemon state /statusz serves. The run loop updates
@@ -111,7 +123,7 @@ func serveTelemetry(listen string, st *statusState, register func(*http.ServeMux
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return &httpServer{srv: srv, addr: ln.Addr().String()}, nil
 }

@@ -311,9 +311,9 @@ func applyFlagOverrides(sp *policy.Spec, set map[string]bool,
 	decideShards, decideWorkers int) {
 
 	if set["k"] && k > 0 {
-		sp.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(k)}}
+		sp.Selector = policy.TopKSelector(k)
 	} else if set["budget-tbhr"] {
-		sp.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": budgetTBHr * 1024}}
+		sp.Selector = policy.BudgetSelector(budgetTBHr * 1024)
 	}
 	if set["workers"] {
 		if workers <= 0 {

@@ -549,7 +549,7 @@ func topKSelector(top int) *policy.Component {
 	if top < 1 {
 		return nil
 	}
-	return &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(top)}}
+	return policy.TopKSelector(top)
 }
 
 // decideShards and decideWorkers shard the dry-run decide phase when

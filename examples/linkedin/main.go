@@ -11,6 +11,7 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -28,6 +29,17 @@ func main() {
 	f := fleet.New(cfg, clock)
 	model := fleet.DefaultModel(512 * storage.MB)
 	runner := fleet.Runner{Fleet: f, Model: model}
+	// service compiles the §7 data-compaction spec (quota-adaptive ΔF vs
+	// GBHr) with the given selector.
+	service := func(selector *policy.Component) *core.Service {
+		spec := policy.DefaultDataSpec(true)
+		spec.Selector = selector
+		ss, err := f.ServiceFromSpec(spec, model, fleet.SpecRunOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ss.Svc
+	}
 
 	report := func(era string) {
 		h := f.Histogram()
@@ -57,10 +69,7 @@ func main() {
 	fmt.Printf("    manual era: %d files reduced, %.1f TBHr\n", manualFiles, manualTBHr)
 
 	// Era 3: AutoComp, conservative fixed k = 10.
-	svc, err := f.Service(core.TopK{K: 10}, model)
-	if err != nil {
-		log.Fatal(err)
-	}
+	svc := service(policy.TopKSelector(10))
 	var autoFiles int64
 	var autoTBHr float64
 	for d := 0; d < 30; d++ {
@@ -76,10 +85,7 @@ func main() {
 	fmt.Printf("    auto-k10 era: %d files reduced, %.1f TBHr\n", autoFiles, autoTBHr)
 
 	// Era 4: dynamic k under a daily compute budget.
-	budgetSvc, err := f.Service(core.BudgetSelector{BudgetGBHr: *budgetTBHr * 1024}, model)
-	if err != nil {
-		log.Fatal(err)
-	}
+	budgetSvc := service(policy.BudgetSelector(*budgetTBHr * 1024))
 	var ks int
 	for d := 0; d < 30; d++ {
 		f.AdvanceDay()

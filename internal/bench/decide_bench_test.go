@@ -10,7 +10,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -27,8 +27,15 @@ func decideService(tb testing.TB, tables, shards int) (*core.Service, *decidesha
 	cfg.TablesPerMonth = 0
 	f := fleet.New(cfg, sim.NewClock())
 	f.AdvanceDay()
-	c := f.MaintenanceConfig(core.TopK{K: 50},
-		fleet.DefaultModel(512*storage.MB), maintenance.DefaultPolicy())
+	spec := policy.DefaultSpec()
+	spec.Selector = policy.TopKSelector(50)
+	spec.Execution = nil
+	model := fleet.DefaultModel(512 * storage.MB)
+	comp, err := policy.Compile(spec, f.PolicyEnv(model), f.PolicyBindings(model))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := comp.Core
 	var eng *decideshard.Engine
 	if shards > 1 {
 		eng = decideshard.New(decideshard.Options{Shards: shards})

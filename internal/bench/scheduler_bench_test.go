@@ -9,7 +9,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/lst"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -32,14 +32,16 @@ func schedulerCycle(b *testing.B, workers int) scheduler.Stats {
 	for d := 0; d < 3; d++ {
 		f.AdvanceDay()
 	}
-	svc, err := f.ScheduledService(core.TopK{K: 100},
-		fleet.DefaultModel(512*storage.MB), maintenance.DefaultPolicy(),
-		fleet.SchedOptions{Workers: workers, Shards: 4, WriterCommitsPerHour: 30})
+	spec := policy.DefaultSpec()
+	spec.Selector = policy.TopKSelector(100)
+	spec.Execution = &policy.ExecutionSpec{Workers: workers, Shards: 4}
+	ss, err := f.ServiceFromSpec(spec, fleet.DefaultModel(512*storage.MB),
+		fleet.SpecRunOptions{WriterCommitsPerHour: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.StartTimer()
-	_, stats, err := svc.RunCycle()
+	_, stats, err := ss.Sched.RunCycle()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/lst"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -351,19 +351,23 @@ func TestIncrementalFleetParity(t *testing.T) {
 	cfg.InitialTables = 120
 	cfg.DailyWriteProb = 0.1
 	model := fleet.DefaultModel(512 * storage.MB)
-	pol := maintenance.DefaultPolicy()
-	sel := core.TopK{K: 15}
+	fullSpec := policy.DefaultSpec()
+	fullSpec.Selector = policy.TopKSelector(15)
+	fullSpec.Execution = nil
+	incrSpec := fullSpec.Clone()
+	incrSpec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
 
 	fFull := fleet.New(cfg, sim.NewClock())
 	fIncr := fleet.New(cfg, sim.NewClock())
-	full, err := fFull.MaintenanceService(sel, model, pol)
+	fullSS, err := fFull.ServiceFromSpec(fullSpec, model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, feed, err := fIncr.IncrementalMaintenanceService(sel, model, pol, fleet.IncrOptions{})
+	incrSS, err := fIncr.ServiceFromSpec(incrSpec, model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, incr, feed := fullSS.Svc, incrSS.Svc, incrSS.Feed
 
 	plan := func(d *core.Decision) string {
 		out := ""

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -25,25 +24,17 @@ func TestShardParityIncremental(t *testing.T) {
 	fIncr := fleet.New(cfg, sim.NewClock())
 	fShard := fleet.New(cfg, sim.NewClock())
 
-	mkBase := func(f *fleet.Fleet) core.Config {
-		return f.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
-	}
-	fullSvc, err := core.NewService(mkBase(fFull))
+	fullSvc, err := core.NewService(compiledConfig(t, fFull, maintenanceSpec(25)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	incrCfg, _ := fIncr.IncrementalConfig(mkBase(fIncr), fleet.IncrOptions{ReconcileEvery: 4})
-	incrSvc, err := core.NewService(incrCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardCfg, _ := fShard.IncrementalConfig(mkBase(fShard),
-		fleet.IncrOptions{ReconcileEvery: 4, DecideShards: 4})
-	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4, Workers: 2}).Decide
-	shardSvc, err := core.NewService(shardCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	incrSpec := maintenanceSpec(25)
+	incrSpec.Trigger = &policy.TriggerSpec{EveryCommits: 1, ReconcileEvery: 4}
+	incrSvc := specService(t, fIncr, incrSpec.Clone())
+	// Four decide shards, which also partition the feed four ways.
+	shardSpec := incrSpec.Clone()
+	shardSpec.Execution = &policy.ExecutionSpec{Workers: 1, DecideShards: 4, DecideWorkers: 2}
+	shardSvc := specService(t, fShard, shardSpec)
 
 	for day := 0; day < days; day++ {
 		fFull.AdvanceDay()
@@ -82,4 +73,15 @@ func TestShardParityIncremental(t *testing.T) {
 			t.Fatalf("day %d: act sharded: %v", day, err)
 		}
 	}
+}
+
+// specService builds the full spec-wired service on f and returns its
+// decision pipeline.
+func specService(t *testing.T, f *fleet.Fleet, spec *policy.Spec) *core.Service {
+	t.Helper()
+	ss, err := f.ServiceFromSpec(spec, testkit.Model(), fleet.SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss.Svc
 }

@@ -13,7 +13,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -25,11 +25,33 @@ func twinFleets(seed int64, tables int) (*fleet.Fleet, *fleet.Fleet) {
 	return fleet.New(cfg, sim.NewClock()), fleet.New(cfg, sim.NewClock())
 }
 
-// shardedMaintenanceService wires the unified maintenance pipeline with
-// the sharded decide plane attached.
-func shardedMaintenanceService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Service {
+// maintenanceSpec is the unified maintenance pipeline with a top-k
+// selector and the serial act phase.
+func maintenanceSpec(k int) *policy.Spec {
+	s := policy.DefaultSpec()
+	s.Selector = policy.TopKSelector(k)
+	s.Execution = nil
+	return s
+}
+
+// compiledConfig compiles spec against f. The serial and sharded sides
+// of each parity check start from the same compiled configuration and
+// differ only in the Decider.
+func compiledConfig(t *testing.T, f *fleet.Fleet, spec *policy.Spec) core.Config {
 	t.Helper()
-	cfg := f.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
+	m := testkit.Model()
+	comp, err := policy.Compile(spec, f.PolicyEnv(m), f.PolicyBindings(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Core
+}
+
+// shardedService wires the unified maintenance pipeline with
+// the sharded decide plane attached.
+func shardedService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Service {
+	t.Helper()
+	cfg := compiledConfig(t, f, maintenanceSpec(25))
 	eng := decideshard.New(decideshard.Options{Shards: shards, Workers: workers})
 	cfg.Decider = eng.Decide
 	svc, err := core.NewService(cfg)
@@ -55,12 +77,11 @@ func TestShardDecisionParityMaintenance(t *testing.T) {
 	for _, seed := range seeds {
 		for _, shards := range shardCounts {
 			serialFleet, shardFleet := twinFleets(seed, tables)
-			serialCfg := serialFleet.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
-			serialSvc, err := core.NewService(serialCfg)
+			serialSvc, err := core.NewService(compiledConfig(t, serialFleet, maintenanceSpec(25)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			shardSvc := shardedMaintenanceService(t, shardFleet, shards, 4)
+			shardSvc := shardedService(t, shardFleet, shards, 4)
 
 			for day := 0; day < days; day++ {
 				serialFleet.AdvanceDay()
@@ -93,11 +114,13 @@ func TestShardDecisionParityMaintenance(t *testing.T) {
 // threshold policy's per-candidate admission sharded across 4 shards.
 func TestShardParityThresholdRanker(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(11, 120)
-	mkCfg := func(f *fleet.Fleet) core.Config {
-		cfg := f.ServiceConfig(core.SelectAll{}, testkit.Model())
-		cfg.Ranker = core.ThresholdPolicy{Trait: core.RelativeFileCountReduction{}, Threshold: 0.10}
-		return cfg
-	}
+	// Select-all (the default selector) over a 10% relative-reduction
+	// threshold.
+	spec := policy.DefaultDataSpec(false)
+	spec.Objectives = nil
+	spec.Traits = append(spec.Traits, policy.C("relative_file_count_reduction"))
+	spec.Threshold = &policy.ThresholdSpec{Trait: policy.C("relative_file_count_reduction"), Min: 0.10}
+	mkCfg := func(f *fleet.Fleet) core.Config { return compiledConfig(t, f, spec.Clone()) }
 	serialSvc, err := core.NewService(mkCfg(serialFleet))
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +164,13 @@ func (g nonLocalGenerator) Candidates(tables []core.Table) []*core.Candidate {
 // hash-partitioned, and still ranked byte-identically.
 func TestShardParityGeneratorFallback(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(7, 100)
-	serialCfg := serialFleet.ServiceConfig(core.TopK{K: 10}, testkit.Model())
-	serialSvc, err := core.NewService(serialCfg)
+	spec := policy.DefaultDataSpec(true)
+	spec.Selector = policy.TopKSelector(10)
+	serialSvc, err := core.NewService(compiledConfig(t, serialFleet, spec.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCfg := shardFleet.ServiceConfig(core.TopK{K: 10}, testkit.Model())
+	shardCfg := compiledConfig(t, shardFleet, spec.Clone())
 	shardCfg.Generator = nonLocalGenerator{inner: shardCfg.Generator}
 	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
 	shardSvc, err := core.NewService(shardCfg)
@@ -174,12 +198,13 @@ func TestShardParityGeneratorFallback(t *testing.T) {
 // stop), so any ordering slip past the top-k would surface here.
 func TestShardParityBudgetSelector(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(3, 140)
-	sel := core.BudgetSelector{BudgetGBHr: 600, MaxK: 40}
-	serialSvc, err := core.NewService(serialFleet.ServiceConfig(sel, testkit.Model()))
+	spec := policy.DefaultDataSpec(true)
+	spec.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(600), "max_k": float64(40)}}
+	serialSvc, err := core.NewService(compiledConfig(t, serialFleet, spec.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCfg := shardFleet.ServiceConfig(sel, testkit.Model())
+	shardCfg := compiledConfig(t, shardFleet, spec.Clone())
 	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 16, Workers: 2}).Decide
 	shardSvc, err := core.NewService(shardCfg)
 	if err != nil {

@@ -14,9 +14,8 @@ import (
 
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -24,18 +23,17 @@ import (
 func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 	f := fleet.New(testkit.FleetConfig(5, 120), sim.NewClock())
 
-	// mk mirrors a policy compile: a fresh striped feed and a fresh
-	// decide engine, partition counts aligned.
+	// mk compiles a policy: a fresh striped feed and a fresh decide
+	// engine, partition counts aligned.
 	mk := func(shards int) (*core.Service, *changefeed.Feed) {
-		cfg, feed := f.IncrementalConfig(
-			f.MaintenanceConfig(core.TopK{K: 20}, testkit.Model(), maintenance.DefaultPolicy()),
-			fleet.IncrOptions{ReconcileEvery: 3, DecideShards: shards})
-		cfg.Decider = decideshard.New(decideshard.Options{Shards: shards, Workers: 2}).Decide
-		svc, err := core.NewService(cfg)
+		spec := maintenanceSpec(20)
+		spec.Trigger = &policy.TriggerSpec{EveryCommits: 1, ReconcileEvery: 3}
+		spec.Execution = &policy.ExecutionSpec{Workers: 1, DecideShards: shards, DecideWorkers: 2}
+		ss, err := f.ServiceFromSpec(spec, testkit.Model(), fleet.SpecRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return svc, feed
+		return ss.Svc, ss.Feed
 	}
 	svc, feed := mk(4)
 	var cur atomic.Pointer[changefeed.Feed]

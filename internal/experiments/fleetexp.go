@@ -7,6 +7,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -20,6 +21,19 @@ func fleetConfig(seed int64, quick bool) fleet.Config {
 		cfg.TablesPerMonth = 40
 	}
 	return cfg
+}
+
+// dataService compiles the §7 data-compaction pipeline (quota-adaptive
+// ΔF vs GBHr) with the given selector on f. Experiments drive the
+// decision service directly, so no cycle events are emitted.
+func dataService(f *fleet.Fleet, model fleet.CompactionModel, selector *policy.Component) (*core.Service, error) {
+	spec := policy.DefaultDataSpec(true)
+	spec.Selector = selector
+	ss, err := f.ServiceFromSpec(spec, model, fleet.SpecRunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return ss.Svc, nil
 }
 
 // --- Figure 2: fleet file-size distribution across regimes ---
@@ -98,7 +112,7 @@ func RunFig2(seed int64, quick bool) (Result, error) {
 	res.TinyFracManual = f.TinyFileFraction()
 
 	// Two months of AutoComp under a daily budget (dynamic k).
-	svc, err := f.Service(core.BudgetSelector{BudgetGBHr: 226 * 1024}, model)
+	svc, err := dataService(f, model, policy.BudgetSelector(226*1024))
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +224,7 @@ func RunFig10a(seed int64, quick bool) (Result, error) {
 		res.ManualMeanTBHr += gbhr / 1024 / 3
 	}
 
-	svc, err := f.Service(core.TopK{K: 10}, model)
+	svc, err := dataService(f, model, policy.TopKSelector(10))
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +299,7 @@ func RunFig10b(seed int64, quick bool) (Result, error) {
 	model := fleet.DefaultModel(512 * storage.MB)
 
 	// Age to "week 21" with static auto-compaction running.
-	staticSvc, err := f.Service(core.TopK{K: 100}, model)
+	staticSvc, err := dataService(f, model, policy.TopKSelector(100))
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +339,7 @@ func RunFig10b(seed int64, quick bool) (Result, error) {
 	if err := runWeek(staticSvc, "static k=100"); err != nil {
 		return nil, err
 	}
-	budgetSvc, err := f.Service(core.BudgetSelector{BudgetGBHr: 226 * 1024}, model)
+	budgetSvc, err := dataService(f, model, policy.BudgetSelector(226*1024))
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +426,7 @@ func runFleetTimeline(seed int64, quick bool, months int) (*Fig10cResult, []Mont
 			manualSet = f.MostFragmented(100)
 		}
 		if regime == "auto" && svc == nil {
-			s, err := f.Service(core.BudgetSelector{BudgetGBHr: 226 * 1024}, model)
+			s, err := dataService(f, model, policy.BudgetSelector(226*1024))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -518,7 +532,7 @@ func RunFig11a(seed int64, quick bool) (Result, error) {
 	model := fleet.DefaultModel(512 * storage.MB)
 	// k is deliberately smaller than the fragmented population so
 	// unselected tables regrow between selections (the sawtooth).
-	svc, err := f.Service(core.TopK{K: 40}, model)
+	svc, err := dataService(f, model, policy.TopKSelector(40))
 	if err != nil {
 		return nil, err
 	}

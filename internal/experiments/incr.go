@@ -5,7 +5,6 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/metrics"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
@@ -103,8 +102,9 @@ func RunIncr(seed int64, quick bool) (Result, error) {
 	}
 	const writeFrac = 0.01
 	model := fleet.DefaultModel(512 * storage.MB)
-	pol := maintenance.DefaultPolicy()
-	selector := core.TopK{K: 50}
+	spec := policy.DefaultSpec()
+	spec.Selector = policy.TopKSelector(50)
+	spec.Execution = nil
 
 	res := IncrResult{WriteFrac: writeFrac}
 	for _, size := range sizes {
@@ -116,19 +116,20 @@ func RunIncr(seed int64, quick bool) (Result, error) {
 		fIncr := fleet.New(cfg, sim.NewClock())
 
 		var fullCalls int64
-		fullCfg := fFull.MaintenanceConfig(selector, model, pol)
+		fullComp, err := policy.Compile(spec.Clone(), fFull.PolicyEnv(model), fFull.PolicyBindings(model))
+		if err != nil {
+			return nil, err
+		}
+		fullCfg := fullComp.Core
 		fullCfg.Observer = countingObserver{inner: fullCfg.Observer, calls: &fullCalls}
 		fullSvc, err := core.NewService(fullCfg)
 		if err != nil {
 			return nil, err
 		}
-		// The incremental side is expressed as a policy spec (the
-		// full-scan side stays hand-wired): the experiment's per-cycle
-		// PlansMatch check then doubles as a spec-compiled vs hand-wired
-		// parity assertion.
-		incrSpec := policy.DefaultSpec()
-		incrSpec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(selector.K)}}
-		incrSpec.Execution = nil
+		// Both sides compile the same spec; the incremental side adds an
+		// every-commit trigger, so PlansMatch checks the observation
+		// plane against the full scan.
+		incrSpec := spec.Clone()
 		incrSpec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
 		incrSS, err := fIncr.ServiceFromSpec(incrSpec, model, fleet.SpecRunOptions{})
 		if err != nil {

@@ -95,15 +95,11 @@ func (r MaintResult) Render() string {
 // one running the data-only pipeline, one the unified maintenance
 // pipeline. Both use the same budget selector — metadata actions are not
 // scheduled by a side loop; they must win budget in the shared ranking.
-// Both pipelines are expressed as policy specs and compiled; decision
-// parity between the spec-compiled and hand-wired constructions is
-// asserted byte-for-byte by the policy-plane tests.
 func RunMaint(seed int64, quick bool) (Result, error) {
 	days, sampleEvery := 360, 60
 	if quick {
 		days, sampleEvery = 90, 15
 	}
-	budget := map[string]any{"budget_gbhr": float64(226 * 1024)}
 	model := fleet.DefaultModel(512 * storage.MB)
 
 	newFleet := func() *fleet.Fleet {
@@ -111,15 +107,12 @@ func RunMaint(seed int64, quick bool) (Result, error) {
 	}
 	dataFleet, unifiedFleet := newFleet(), newFleet()
 
-	dataSpec := policy.DefaultDataSpec(true)
-	dataSpec.Selector = &policy.Component{Name: "budget", Params: budget}
-	dataSS, err := dataFleet.ServiceFromSpec(dataSpec, model, fleet.SpecRunOptions{})
+	dataSvc, err := dataService(dataFleet, model, policy.BudgetSelector(226*1024))
 	if err != nil {
 		return nil, err
 	}
-	dataSvc := dataSS.Svc
 	unifiedSpec := policy.DefaultSpec()
-	unifiedSpec.Selector = &policy.Component{Name: "budget", Params: budget}
+	unifiedSpec.Selector = policy.BudgetSelector(226 * 1024)
 	unifiedSpec.Execution = nil
 	unifiedSS, err := unifiedFleet.ServiceFromSpec(unifiedSpec, model, fleet.SpecRunOptions{})
 	if err != nil {

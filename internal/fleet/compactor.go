@@ -6,7 +6,6 @@ import (
 
 	"autocomp/internal/compaction"
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/storage"
 )
 
@@ -210,82 +209,4 @@ func (f *Fleet) MostFragmented(k int) []*Table {
 		k = len(sorted)
 	}
 	return sorted[:k]
-}
-
-// ServiceConfig returns the core configuration Service builds: table
-// scope, ΔF + GBHr traits under quota-adaptive MOOP weights, and the
-// given selector. Callers may wrap components (counting observers, the
-// incremental observation plane) before constructing the service.
-func (f *Fleet) ServiceConfig(selector core.Selector, model CompactionModel) core.Config {
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    model.ExecutorMemoryGB,
-		RewriteBytesPerHour: model.RewriteBytesPerHour,
-	}
-	return core.Config{
-		Connector:    Connector{Fleet: f},
-		Generator:    core.TableScopeGenerator{},
-		Observer:     Observer{Fleet: f},
-		StatsFilters: []core.Filter{core.MinSmallFiles{Min: 2}},
-		Traits:       []core.Trait{core.FileCountReduction{}, cost},
-		Ranker: core.MOOPRanker{
-			Objectives: []core.Objective{
-				{Trait: core.FileCountReduction{}},
-				{Trait: cost},
-			},
-			DynamicWeights: core.QuotaAdaptiveWeights(),
-		},
-		Selector:  selector,
-		Scheduler: core.SequentialScheduler{},
-		Runner:    Runner{Fleet: f, Model: model},
-	}
-}
-
-// Service builds a ready-to-run AutoComp service over the fleet with the
-// production configuration of §7: table scope, ΔF + GBHr traits under
-// quota-adaptive MOOP weights, and the given selector.
-func (f *Fleet) Service(selector core.Selector, model CompactionModel) (*core.Service, error) {
-	return core.NewService(f.ServiceConfig(selector, model))
-}
-
-// MaintenanceConfig returns the core configuration MaintenanceService
-// builds. Callers may wrap components (counting observers, the
-// incremental observation plane) before constructing the service.
-func (f *Fleet) MaintenanceConfig(selector core.Selector, model CompactionModel, pol maintenance.Policy) core.Config {
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    model.ExecutorMemoryGB,
-		RewriteBytesPerHour: model.RewriteBytesPerHour,
-	}
-	pols := maintenance.StaticPolicies{Policy: pol}
-	return core.Config{
-		Connector: Connector{Fleet: f},
-		Generator: maintenance.Generator{Data: core.TableScopeGenerator{}, Policies: pols},
-		Observer:  maintenance.Observer{Base: Observer{Fleet: f}, Policies: pols, Now: f.clock.Now},
-		StatsFilters: []core.Filter{
-			core.ForAction{Action: core.ActionDataCompaction, Inner: core.MinSmallFiles{Min: 2}},
-			core.MinMetadataReduction{Min: 1},
-		},
-		Traits: []core.Trait{core.FileCountReduction{}, core.MetadataReduction{}, cost},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: 0.5},
-			{Trait: core.MetadataReduction{}, Weight: 0.2},
-			{Trait: cost, Weight: 0.3},
-		}},
-		Selector:  selector,
-		Scheduler: core.SequentialScheduler{},
-		Runner: maintenance.Runner{
-			Data:                Runner{Fleet: f, Model: model},
-			Policies:            pols,
-			ExecutorMemoryGB:    model.ExecutorMemoryGB,
-			RewriteBytesPerHour: model.RewriteBytesPerHour,
-		},
-	}
-}
-
-// MaintenanceService builds the unified maintenance pipeline over the
-// fleet: data compaction, snapshot expiry, metadata checkpointing, and
-// manifest rewriting as one candidate pool, ranked by a three-objective
-// MOOP (ΔF, ΔM, GBHr) and selected under the same budget — no separate
-// scheduler loop for metadata work.
-func (f *Fleet) MaintenanceService(selector core.Selector, model CompactionModel, pol maintenance.Policy) (*core.Service, error) {
-	return core.NewService(f.MaintenanceConfig(selector, model, pol))
 }

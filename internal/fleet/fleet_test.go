@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -15,6 +16,17 @@ func smallFleet(seed int64) (*Fleet, *sim.Clock) {
 	cfg.InitialTables = 300
 	cfg.TablesPerMonth = 30
 	return New(cfg, clock), clock
+}
+
+// specService compiles spec with the given selector on f.
+func specService(t *testing.T, f *Fleet, spec *policy.Spec, selector *policy.Component, opts SpecRunOptions) *SpecService {
+	t.Helper()
+	spec.Selector = selector
+	ss, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
 }
 
 func TestFleetInitialShape(t *testing.T) {
@@ -132,10 +144,7 @@ func TestMostFragmentedOrdering(t *testing.T) {
 
 func TestFleetServiceRunOnce(t *testing.T) {
 	f, _ := smallFleet(4)
-	svc, err := f.Service(core.TopK{K: 10}, DefaultModel(512*storage.MB))
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := specService(t, f, policy.DefaultDataSpec(true), policy.TopKSelector(10), SpecRunOptions{}).Svc
 	before := f.TotalFiles()
 	rep, err := svc.RunOnce()
 	if err != nil {
@@ -154,11 +163,7 @@ func TestFleetServiceRunOnce(t *testing.T) {
 
 func TestFleetServiceBudgetDynamicK(t *testing.T) {
 	f, _ := smallFleet(6)
-	model := DefaultModel(512 * storage.MB)
-	svc, err := f.Service(core.BudgetSelector{BudgetGBHr: 226 * 1024}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := specService(t, f, policy.DefaultDataSpec(true), policy.BudgetSelector(226*1024), SpecRunOptions{}).Svc
 	rep, err := svc.RunOnce()
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package fleet
 import (
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
 )
 
 // IncrOptions parameterizes the incremental observation plane over a
@@ -29,8 +28,9 @@ type IncrOptions struct {
 // IncrementalConfig wires a fresh changefeed into cfg: the connector
 // serves the dirty set, the generator retains clean tables' candidates,
 // and the observer answers from the version-keyed cache. It attaches
-// the feed's bus to the fleet; any fleet-built core.Config (data-only,
-// unified, custom weights) can be incrementalized this way.
+// the feed's bus to the fleet; any core.Config compiled against this
+// fleet (data-only, unified, custom weights) can be incrementalized this
+// way.
 func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Config, *changefeed.Feed) {
 	triggers := opts.Triggers
 	if triggers == nil {
@@ -71,31 +71,4 @@ func (f *Fleet) statsRefresher() func(*core.Candidate, *core.Stats) {
 			s.QuotaUtilization = f.QuotaUtilization(c.Table.Database())
 		}
 	}
-}
-
-// IncrementalService builds the data-compaction pipeline of Service
-// with the incremental observation plane attached: candidate discovery
-// is driven by the fleet's commit events instead of full-fleet scans.
-func (f *Fleet) IncrementalService(selector core.Selector, model CompactionModel, opts IncrOptions) (*core.Service, *changefeed.Feed, error) {
-	cfg, feed := f.IncrementalConfig(f.ServiceConfig(selector, model), opts)
-	svc, err := core.NewService(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, feed, nil
-}
-
-// IncrementalMaintenanceService builds the unified maintenance pipeline
-// of MaintenanceService with the incremental observation plane
-// attached. With an every-commit trigger the selected plans are
-// byte-identical to MaintenanceService's per seed, while only dirty
-// tables are re-observed (see the changefeed package doc for the parity
-// conditions).
-func (f *Fleet) IncrementalMaintenanceService(selector core.Selector, model CompactionModel, pol maintenance.Policy, opts IncrOptions) (*core.Service, *changefeed.Feed, error) {
-	cfg, feed := f.IncrementalConfig(f.MaintenanceConfig(selector, model, pol), opts)
-	svc, err := core.NewService(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, feed, nil
 }

@@ -3,10 +3,8 @@ package fleet
 import (
 	"testing"
 
-	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
-	"autocomp/internal/storage"
 )
 
 func TestMetadataAccretesWithWrites(t *testing.T) {
@@ -84,20 +82,13 @@ func TestMaintenanceServiceHoldsMetadataSteady(t *testing.T) {
 		return New(cfg, sim.NewClock())
 	}
 	run := func(f *Fleet, unified bool) int64 {
-		model := DefaultModel(512 * storage.MB)
-		sel := core.BudgetSelector{BudgetGBHr: 226 * 1024}
-		var svc *core.Service
-		var err error
+		spec := policy.DefaultDataSpec(true)
 		if unified {
-			svc, err = f.MaintenanceService(sel, model, maintenance.Policy{
-				RetainSnapshots: 20, CheckpointEveryVersions: 50, MinManifestSurplus: 8,
-			})
-		} else {
-			svc, err = f.Service(sel, model)
+			spec = policy.DefaultSpec()
+			spec.Execution = nil
+			spec.Maintenance.CheckpointEveryVersions = 50
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := specService(t, f, spec, policy.BudgetSelector(226*1024), SpecRunOptions{}).Svc
 		for d := 0; d < 40; d++ {
 			f.AdvanceDay()
 			if _, err := svc.RunOnce(); err != nil {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -25,12 +25,10 @@ func schedFleet(seed int64) *Fleet {
 func runSchedCycle(t *testing.T, seed int64, opts SchedOptions) (*core.Report, scheduler.Stats) {
 	t.Helper()
 	f := schedFleet(seed)
-	svc, err := f.ScheduledService(
-		core.TopK{K: 40}, DefaultModel(512*storage.MB), maintenance.DefaultPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, stats, err := svc.RunCycle()
+	spec := policy.DefaultSpec()
+	spec.Execution = &policy.ExecutionSpec{Workers: opts.Workers, Shards: opts.Shards, ShardBudgetGBHr: opts.ShardBudgetGBHr}
+	ss := specService(t, f, spec, policy.TopKSelector(40), SpecRunOptions{WriterCommitsPerHour: opts.WriterCommitsPerHour})
+	rep, stats, err := ss.Sched.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +140,7 @@ func TestScheduledCycleNeedsRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := f.ScheduleService(decideOnly, DefaultModel(512*storage.MB), DefaultSchedOptions())
+	sched := f.ScheduleService(decideOnly, DefaultModel(512*storage.MB), SchedOptions{Workers: 8, Shards: 4})
 	if _, _, err := sched.RunCycle(); err == nil {
 		t.Fatal("RunCycle on a decide-only service did not error")
 	}

@@ -81,10 +81,10 @@ type SpecService struct {
 }
 
 // ServiceFromSpec compiles a policy spec against this fleet and wires
-// every plane the spec enables. It is the spec-driven equivalent of the
-// hand-wired Service/MaintenanceService/IncrementalService/
-// ScheduledService constructors, and compiling the matching spec
-// produces byte-identical decisions to them.
+// every plane the spec enables. It is the fleet's only pipeline
+// constructor; callers that wrap a compiled component (a counting
+// observer, a sharded Decider) compile with PolicyEnv and PolicyBindings
+// and build the core.Service themselves.
 func (f *Fleet) ServiceFromSpec(spec *policy.Spec, model CompactionModel, opts SpecRunOptions) (*SpecService, error) {
 	bindings := f.PolicyBindings(model)
 	if opts.WrapRunner != nil {

@@ -174,10 +174,16 @@ func writeFileAtomic(path string, data []byte, sync bool) error {
 		return err
 	}
 	if sync {
-		if d, err := os.Open(dir); err == nil {
-			_ = d.Sync()
-			_ = d.Close()
+		// The rename is durable only once the directory entry is synced.
+		d, err := os.Open(dir)
+		if err != nil {
+			return err
 		}
+		if err := d.Sync(); err != nil {
+			d.Close()
+			return err
+		}
+		return d.Close()
 	}
 	return nil
 }

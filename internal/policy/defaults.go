@@ -1,13 +1,11 @@
 package policy
 
 // DefaultSpec returns the unified-maintenance pipeline autocompd runs
-// by default — the spec form of the hand-wired fleet.MaintenanceConfig:
-// table-scope candidates, per-action admission filters, the
+// by default: table-scope candidates, per-action admission filters, the
 // three-objective MOOP (ΔF 0.5, ΔM 0.2, GBHr 0.3), a 50 TBHr budget
 // selector, the default maintenance policy, and an 8-worker/4-shard
 // execution plane. examples/policies/default.json is this spec on disk;
-// compiling either must produce byte-identical decisions to the
-// hand-wired path.
+// the root package's parity goldens pin the decisions it compiles to.
 func DefaultSpec() *Spec {
 	return &Spec{
 		Name:        "default",
@@ -31,7 +29,7 @@ func DefaultSpec() *Spec {
 			{Trait: C("metadata_reduction"), Weight: 0.2},
 			{Trait: C("compute_cost_gbhr"), Weight: 0.3},
 		},
-		Selector: &Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(50 * 1024)}},
+		Selector: BudgetSelector(50 * 1024),
 		Maintenance: &MaintenanceSpec{
 			RetainSnapshots:         20,
 			CheckpointEveryVersions: 100,
@@ -42,10 +40,9 @@ func DefaultSpec() *Spec {
 }
 
 // DefaultDataSpec returns the data-compaction-only production pipeline
-// of §7 — the spec form of the hand-wired fleet.ServiceConfig: ΔF and
-// GBHr objectives, quota-adaptive weights when quotaAdaptive is set
-// (w1 = 0.5·(1+quota)) or the 0.7/0.3 static split otherwise. The
-// caller sets the selector.
+// of §7: table-scope candidates, ΔF and GBHr objectives, quota-adaptive
+// weights when quotaAdaptive is set (w1 = 0.5·(1+quota)) or the 0.7/0.3
+// static split otherwise. The caller sets the selector.
 func DefaultDataSpec(quotaAdaptive bool) *Spec {
 	s := &Spec{
 		Name:         "data-only",
@@ -67,4 +64,17 @@ func DefaultDataSpec(quotaAdaptive bool) *Spec {
 		}
 	}
 	return s
+}
+
+// TopKSelector returns the selector component that takes the k
+// highest-ranked candidates.
+func TopKSelector(k int) *Component {
+	return &Component{Name: "top-k", Params: map[string]any{"k": float64(k)}}
+}
+
+// BudgetSelector returns the selector component that takes candidates
+// in rank order while their summed compute cost fits budgetGBHr (§7's
+// dynamic k).
+func BudgetSelector(budgetGBHr float64) *Component {
+	return &Component{Name: "budget", Params: map[string]any{"budget_gbhr": budgetGBHr}}
 }

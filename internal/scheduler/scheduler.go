@@ -20,12 +20,11 @@
 //   - per-shard GBHr budgets with backpressure: tables hash onto S budget
 //     shards, and once a shard's spend reaches its budget mid-cycle its
 //     remaining jobs are deferred to the next cycle;
-//   - a Clock abstraction so the identical Pool state machine runs
-//     deterministically on sim.Clock/sim.EventQueue (simulated service
-//     times, reproducible from a seed) or on wall-clock goroutines.
+//   - simulated service times on a sim.Clock/sim.EventQueue, so a drained
+//     cycle is reproducible from a seed.
 //
-// The Pool itself is a single-threaded state machine; the drivers in
-// sim.go and real.go own synchronization.
+// The Pool itself is a single-threaded state machine; RunSim (sim.go) is
+// its driver.
 package scheduler
 
 import (
@@ -37,22 +36,6 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/sim"
 )
-
-// Clock abstracts the pool's notion of time: virtual (sim.Clock) for
-// deterministic simulation, wall (WallClock) for the real path.
-type Clock interface {
-	Now() time.Duration
-}
-
-// WallClock implements Clock over real time, as an offset from its
-// construction instant.
-type WallClock struct{ epoch time.Time }
-
-// NewWallClock returns a wall clock whose Now starts at zero.
-func NewWallClock() *WallClock { return &WallClock{epoch: time.Now()} }
-
-// Now implements Clock.
-func (w *WallClock) Now() time.Duration { return time.Since(w.epoch) }
 
 // Versioned is implemented by tables that expose a monotonically
 // increasing snapshot/commit version. Tables that do not implement it are
@@ -98,16 +81,6 @@ type Config struct {
 	// ready to commit. Nil uses EstimatedServiceTime with
 	// DefaultExecutorMemoryGB.
 	ServiceTime func(*core.Candidate) time.Duration
-
-	// OnTerminal, when set, is called each time a job reaches a terminal
-	// state (done, conflicted, deferred, failed). Deployments that drive
-	// the pool directly (RunReal, custom drivers) use it to settle
-	// per-job bookkeeping as it happens — e.g. re-dirtying a conflicted
-	// table in the incremental observation plane's tracker without
-	// waiting for a report fold. It runs inside the pool's
-	// synchronization domain (under the driver lock on the real path)
-	// and must not call back into the pool.
-	OnTerminal func(*Job)
 
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
@@ -332,12 +305,11 @@ func (s Stats) String() string {
 		s.MaxQueueDepth, s.MeanQueueDepth)
 }
 
-// Pool is the scheduler state machine. It is not safe for concurrent use;
-// the sim driver is single-threaded and the real driver wraps it in a
-// mutex.
+// Pool is the scheduler state machine. It is not safe for concurrent
+// use; RunSim drives it from one goroutine.
 type Pool struct {
 	cfg    Config
-	clock  Clock
+	clock  *sim.Clock
 	runner core.Runner
 	rng    *sim.RNG
 
@@ -361,8 +333,8 @@ type Pool struct {
 }
 
 // New builds a pool that executes jobs with runner and reads time from
-// clock.
-func New(cfg Config, runner core.Runner, clock Clock) *Pool {
+// clock, which must be the clock of the event queue RunSim drains it on.
+func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 	cfg = cfg.withDefaults()
 	return &Pool{
 		cfg:      cfg,
@@ -432,8 +404,8 @@ func (p *Pool) enqueue(j *Job) {
 // when its backoff window has passed, no lease is held on its table, and
 // its shard still has budget. Jobs whose shard is exhausted are deferred
 // on the spot (backpressure). earliestReady reports the soonest backoff
-// expiry among the jobs skipped for backoff (0 when none), so drivers
-// know when to wake.
+// expiry among the jobs skipped for backoff (0 when none), so the driver
+// knows when to wake.
 func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 	for i := 0; i < len(p.pending); i++ {
 		cand := p.pending[i]
@@ -456,7 +428,7 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 			// Deferral is a terminal outcome: it closes the makespan
 			// window like any other finish (a retried job can be
 			// deferred after the last successful commit).
-			p.noteFinish(cand, now)
+			p.noteFinish(now)
 			continue
 		}
 		if cand.readyAt > now {
@@ -585,7 +557,7 @@ func (p *Pool) commit(j *Job, now time.Duration) bool {
 					ConflictCount: j.Attempts,
 					GBHr:          j.wastedGBHr,
 				}
-				p.noteFinish(j, now)
+				p.noteFinish(now)
 				return true
 			}
 			p.stats.Retries++
@@ -625,18 +597,15 @@ func (p *Pool) commit(j *Job, now time.Duration) bool {
 		p.stats.Done++
 		mJobs.With("done").Inc()
 	}
-	p.noteFinish(j, now)
+	p.noteFinish(now)
 	return true
 }
 
 // noteFinish records a terminal transition: it closes the makespan
-// window and notifies the terminal-state observer.
-func (p *Pool) noteFinish(j *Job, now time.Duration) {
+// window.
+func (p *Pool) noteFinish(now time.Duration) {
 	if now > p.lastFinish {
 		p.lastFinish = now
-	}
-	if p.cfg.OnTerminal != nil {
-		p.cfg.OnTerminal(j)
 	}
 }
 
@@ -684,7 +653,7 @@ func (p *Pool) finalize() Stats {
 }
 
 // Jobs returns every submitted job in submission order (inspect after the
-// drivers drain the pool).
+// driver drains the pool).
 func (p *Pool) Jobs() []*Job { return p.jobs }
 
 // Idle reports whether the pool has neither queued nor running jobs.

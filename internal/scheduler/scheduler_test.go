@@ -3,7 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +13,8 @@ import (
 	"autocomp/internal/sim"
 )
 
-// memTable is a minimal core.Table with an atomic snapshot version, so
-// writer goroutines can race commits in the -race tests.
+// memTable is a minimal core.Table whose snapshot version a test writer
+// can advance.
 type memTable struct {
 	name    string
 	version atomic.Int64
@@ -428,16 +427,6 @@ func TestMidRunSubmitToIdlePool(t *testing.T) {
 	}
 }
 
-func TestRunRealRejectsSimClock(t *testing.T) {
-	p := New(Config{Workers: 1}, okRunner(1), sim.NewClock())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunReal on a sim clock did not panic")
-		}
-	}()
-	RunReal(p, nil)
-}
-
 func TestRunSimRejectsForeignClock(t *testing.T) {
 	p := New(Config{Workers: 1}, okRunner(1), sim.NewClock())
 	q := sim.NewEventQueue(sim.NewClock())
@@ -485,135 +474,5 @@ func TestStatusStrings(t *testing.T) {
 		if s.String() != w {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), w)
 		}
-	}
-}
-
-// --- wall-clock driver, exercised under -race ---
-
-func TestRealPoolConcurrencyAndLeases(t *testing.T) {
-	const tables, jobsPerTable, workers = 8, 3, 8
-	tbs := make([]*memTable, tables)
-	var cands []*core.Candidate
-	for i := range tbs {
-		tbs[i] = &memTable{name: fmt.Sprintf("t%d", i)}
-	}
-	for j := 0; j < jobsPerTable; j++ {
-		for _, tb := range tbs {
-			cands = append(cands, cand(tb, 1))
-		}
-	}
-
-	var mu sync.Mutex
-	inFlight := map[string]int{}
-	maxInFlight := 0
-	work := func(c *core.Candidate) {
-		name := c.Table.FullName()
-		mu.Lock()
-		inFlight[name]++
-		if inFlight[name] > maxInFlight {
-			maxInFlight = inFlight[name]
-		}
-		mu.Unlock()
-		time.Sleep(time.Millisecond)
-		mu.Lock()
-		inFlight[name]--
-		mu.Unlock()
-	}
-
-	var ran atomic.Int64
-	r := core.RunnerFunc(func(c *core.Candidate) compaction.Result {
-		ran.Add(1)
-		return compaction.Result{Table: c.Table.FullName(), FilesRemoved: 3, FilesAdded: 1, GBHr: 1}
-	})
-	p := New(Config{Workers: workers, Shards: 4, Seed: 1}, r, NewWallClock())
-	p.Submit(cands)
-	st := RunReal(p, work)
-	if st.Done != tables*jobsPerTable || ran.Load() != tables*jobsPerTable {
-		t.Fatalf("done=%d ran=%d, want %d", st.Done, ran.Load(), tables*jobsPerTable)
-	}
-	if maxInFlight != 1 {
-		t.Fatalf("per-table in-flight peak = %d, want 1 (lease violated)", maxInFlight)
-	}
-	if st.Makespan <= 0 || st.MaxWorkersBusy < 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestRealShardBackpressureTerminates(t *testing.T) {
-	// Shard-budget deferral inside next() can make the pool idle with
-	// the deciding worker about to wait; RunReal must notice and return
-	// instead of deadlocking (regression test).
-	var cands []*core.Candidate
-	for i := 0; i < 3; i++ {
-		cands = append(cands, &core.Candidate{
-			Table:  &memTable{name: fmt.Sprintf("t%d", i)},
-			Traits: map[string]float64{core.ComputeCost{}.Name(): 9},
-		})
-	}
-	p := New(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(9), NewWallClock())
-	p.Submit(cands)
-	done := make(chan Stats, 1)
-	go func() { done <- RunReal(p, nil) }()
-	select {
-	case st := <-done:
-		if st.Done != 2 || st.Deferred != 1 {
-			t.Fatalf("stats = %+v, want 2 done / 1 deferred", st)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunReal deadlocked on shard-budget deferral")
-	}
-}
-
-func TestRealConflictRetry(t *testing.T) {
-	tb := &memTable{name: "hot"}
-	var attempts atomic.Int64
-	work := func(c *core.Candidate) {
-		// The writer races the first execution only.
-		if attempts.Add(1) == 1 {
-			tb.version.Add(1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p := New(Config{
-		Workers: 2, Seed: 1,
-		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-	}, okRunner(1), NewWallClock())
-	p.Submit([]*core.Candidate{cand(tb, 1)})
-	st := RunReal(p, work)
-	if st.Done != 1 || st.Conflicts != 1 || st.Retries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if p.Jobs()[0].Attempts != 2 {
-		t.Fatalf("attempts = %d", p.Jobs()[0].Attempts)
-	}
-}
-
-func TestOnTerminalObservesEveryOutcome(t *testing.T) {
-	// One job succeeds; one conflicts terminally (a writer advances its
-	// table before every commit). OnTerminal must see both settle.
-	quiet := &memTable{name: "quiet"}
-	hot := &memTable{name: "hot"}
-	got := map[string]Status{}
-	cfg := Config{
-		Workers:     2,
-		MaxAttempts: 2,
-		RetryBase:   time.Second,
-		OnTerminal: func(j *Job) {
-			got[j.Candidate.Table.FullName()] = j.Status
-		},
-	}
-	p, q := newSimPool(cfg, okRunner(1))
-	p.Submit([]*core.Candidate{cand(quiet, 1), cand(hot, 1)})
-	// Advance the hot table past the staleness bound on every attempt.
-	writer := func() { hot.version.Add(1) }
-	q.ScheduleAfter(30*time.Minute, writer)
-	q.ScheduleAfter(90*time.Minute, writer)
-	RunSim(p, q)
-
-	if got["db.quiet"] != StatusDone {
-		t.Fatalf("quiet outcome = %v, want done", got["db.quiet"])
-	}
-	if got["db.hot"] != StatusConflicted {
-		t.Fatalf("hot outcome = %v, want conflicted", got["db.hot"])
 	}
 }

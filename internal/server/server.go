@@ -87,6 +87,17 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 when it exceeded maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, "%v", err)
+}
+
 // withTenant resolves the {tenant} path segment.
 func (s *Server) withTenant(h func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -138,8 +149,8 @@ type createTenantRequest struct {
 // a tenant.
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req createTenantRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	var spec *policy.Spec
@@ -232,9 +243,9 @@ type policyPushResponse struct {
 // errors with 422 and leave the running pipeline untouched (the same
 // contract as the file watcher's hot reload).
 func (s *Server) handlePolicyPush(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeBodyError(w, err)
 		return
 	}
 	sp, err := policy.Parse(body)
@@ -277,8 +288,8 @@ type submitRunRequest struct {
 // handleSubmitRun: POST /api/tenants/{t}/runs.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	var req submitRunRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	var spec *scenario.Spec
@@ -391,9 +402,10 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request, t *tena
 	}
 }
 
-func readBody(r *http.Request) ([]byte, error) {
+// readBody reads a request body of at most maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
 	}
@@ -403,8 +415,8 @@ func readBody(r *http.Request) ([]byte, error) {
 	return b, nil
 }
 
-func decodeBody(r *http.Request, v any) error {
-	b, err := readBody(r)
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	b, err := readBody(w, r)
 	if err != nil {
 		return err
 	}

@@ -270,6 +270,27 @@ func TestPolicyPushRejectedOverWire(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected checks that a body one byte over
+// maxBodyBytes is refused with 413 instead of being truncated and
+// misreported as a malformed request.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"big","seed":3,"days":2,"initial_tables":10,"paused":true}`), &tenant.Snapshot{})
+	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPut, "/api/tenants/big/policy"},
+		{http.MethodPost, "/api/tenants/big/runs"},
+	} {
+		var apiErr apiError
+		resp := doJSON(t, rt.method, ts.URL+rt.path, body, &apiErr)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s with a %d-byte body: status %d (%q), want 413",
+				rt.method, rt.path, len(body), resp.StatusCode, apiErr.Error)
+		}
+	}
+}
+
 // TestRunGoldenTraceOverAPI is the acceptance test: an API-submitted
 // run of a shipped scenario must produce a trace byte-identical to its
 // committed golden file.

@@ -118,8 +118,8 @@ func (s *Server) withTune(h func(http.ResponseWriter, *http.Request, *tuneJob)) 
 // then run the tune in the background and return 202 with the job id.
 func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 	var req tuneRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Space) == 0 {

@@ -240,10 +240,7 @@ func New(cfg Config, spec *policy.Spec, opts Options) (*Tenant, error) {
 		spec = spec.Clone()
 	}
 	if cfg.BudgetTBHr > 0 {
-		spec.Selector = &policy.Component{
-			Name:   "budget",
-			Params: map[string]any{"budget_gbhr": cfg.BudgetTBHr * 1024},
-		}
+		spec.Selector = policy.BudgetSelector(cfg.BudgetTBHr * 1024)
 	}
 	t := &Tenant{
 		cfg:    cfg,

@@ -1,6 +1,9 @@
 package autocomp
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,91 +11,102 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
 
-// decisionFingerprint and parityFleetConfig live in the shared testkit;
-// these aliases keep the parity tests reading naturally.
-var decisionFingerprint = testkit.DecisionFingerprint
+// The parity goldens pin what the spec-compiled pipelines decide to what
+// the hand-wired fleet constructors they replaced decided: one line per
+// (seed, day) holding the sha256 of the day's testkit.DecisionFingerprint
+// and its funnel line. The goldens were recorded from the hand-wired
+// side; regenerate only after an intentional decision change, with
+//
+//	go test . -run Parity -update
+//
+// and review the golden diff like any other code change.
+var update = flag.Bool("update", false, "regenerate the parity goldens under testdata/parity")
 
 func parityFleetConfig(seed int64) fleet.Config {
 	return testkit.FleetConfig(seed, 300)
 }
 
-// runParity ages two identically seeded fleets — one deciding through
-// the hand-wired service, one through the spec-compiled service — and
-// requires byte-identical decisions every cycle while both act on their
-// own fleet.
-func runParity(t *testing.T, seed int64, days int,
-	handWired func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error),
-	spec func() *policy.Spec) {
+// parityLine renders one day's decision as a golden line.
+func parityLine(seed int64, day int, d *core.Decision) string {
+	fp := testkit.DecisionFingerprint(d)
+	funnel, _, _ := strings.Cut(fp, "\n")
+	return fmt.Sprintf("seed=%d day=%d sha256=%x %s\n", seed, day, sha256.Sum256([]byte(fp)), funnel)
+}
+
+// checkParityGolden ages one fleet per seed under the service compiled
+// from spec, deciding and acting every day, and compares each day's
+// decision line with testdata/parity/<name>.golden.
+func checkParityGolden(t *testing.T, name string, seeds []int64, days int,
+	cfg func(seed int64) fleet.Config, spec *policy.Spec) {
 	t.Helper()
 	model := testkit.Model()
-	fHand := fleet.New(parityFleetConfig(seed), sim.NewClock())
-	fSpec := fleet.New(parityFleetConfig(seed), sim.NewClock())
-
-	hand, err := handWired(fHand, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := fSpec.ServiceFromSpec(spec(), model, fleet.SpecRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for d := 1; d <= days; d++ {
-		fHand.AdvanceDay()
-		fSpec.AdvanceDay()
-		dHand, err := hand.Decide()
+	var got strings.Builder
+	for _, seed := range seeds {
+		f := fleet.New(cfg(seed), sim.NewClock())
+		ss, err := f.ServiceFromSpec(spec.Clone(), model, fleet.SpecRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dSpec, err := ss.Svc.Decide()
-		if err != nil {
+		if spec.Trigger != nil && ss.Feed == nil {
+			t.Fatal("trigger section did not enable the observation plane")
+		}
+		for day := 1; day <= days; day++ {
+			f.AdvanceDay()
+			d, err := ss.Svc.Decide()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.WriteString(parityLine(seed, day, d))
+			if _, err := ss.Svc.Act(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join("testdata", "parity", name+".golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		fpHand, fpSpec := decisionFingerprint(dHand), decisionFingerprint(dSpec)
-		if fpHand != fpSpec {
-			t.Fatalf("seed %d day %d: decisions diverge\nhand-wired:\n%s\nspec-compiled:\n%s",
-				seed, d, head(fpHand, 30), head(fpSpec, 30))
-		}
-		if _, err := hand.Act(dHand); err != nil {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ss.Svc.Act(dSpec); err != nil {
-			t.Fatal(err)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing parity golden (regenerate with -update): %v", err)
+	}
+	wantLines := strings.Split(string(want), "\n")
+	gotLines := strings.Split(got.String(), "\n")
+	for i := range wantLines {
+		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+			g := "(missing)"
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			t.Fatalf("%s line %d: decisions diverge from the golden\nwant: %s\ngot:  %s", path, i+1, wantLines[i], g)
 		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s: %d lines, golden has %d", path, len(gotLines), len(wantLines))
 	}
 }
 
-func head(s string, n int) string { return testkit.Head(s, n) }
-
 // TestDefaultSpecFileParity is the acceptance check: the spec compiled
-// from examples/policies/default.json produces byte-identical Decide()
-// output to the hand-wired default pipeline (fleet.MaintenanceConfig
-// with the default policy and the 50 TBHr budget selector) on the same
-// seed, cycle after cycle.
+// from examples/policies/default.json decides, cycle after cycle, as the
+// hand-wired default pipeline did (unified maintenance with the default
+// policy and the 50 TBHr budget selector).
 func TestDefaultSpecFileParity(t *testing.T) {
 	loaded, err := policy.LoadFile(filepath.Join("examples", "policies", "default.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []int64{1, 7, 42} {
-		runParity(t, seed, 6,
-			func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error) {
-				return f.MaintenanceService(
-					core.BudgetSelector{BudgetGBHr: 50 * 1024}, model,
-					maintenance.Policy{
-						RetainSnapshots:         20,
-						CheckpointEveryVersions: 100,
-						MinManifestSurplus:      8,
-					})
-			},
-			func() *policy.Spec { return loaded.Clone() })
-	}
+	checkParityGolden(t, "default-spec", []int64{1, 7, 42}, 6, parityFleetConfig, loaded)
 }
 
 // TestDefaultSpecFileMatchesBuiltin pins the shipped default.json to
@@ -107,69 +121,28 @@ func TestDefaultSpecFileMatchesBuiltin(t *testing.T) {
 	}
 }
 
-// TestDataSpecParity covers the data-only pipeline: the spec form of
-// fleet.ServiceConfig (quota-adaptive MOOP) decides identically to the
-// hand-wired construction.
+// TestDataSpecParity covers the data-only pipeline: the quota-adaptive
+// data spec with a 50 TBHr budget selector decides as the hand-wired
+// data-only service did.
 func TestDataSpecParity(t *testing.T) {
-	runParity(t, 3, 6,
-		func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error) {
-			return f.Service(core.BudgetSelector{BudgetGBHr: 50 * 1024}, model)
-		},
-		func() *policy.Spec {
-			s := policy.DefaultDataSpec(true)
-			s.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(50 * 1024)}}
-			return s
-		})
+	s := policy.DefaultDataSpec(true)
+	s.Selector = policy.BudgetSelector(50 * 1024)
+	checkParityGolden(t, "data-spec", []int64{3}, 6, parityFleetConfig, s)
 }
 
 // TestIncrementalSpecParity covers the observation plane: a spec with an
-// every-commit trigger decides identically to the hand-wired
-// incremental maintenance service.
+// every-commit trigger decides as the hand-wired incremental maintenance
+// service did.
 func TestIncrementalSpecParity(t *testing.T) {
-	model := testkit.Model()
-	cfg := parityFleetConfig(5)
-	cfg.DailyWriteProb = 0.3
-	fHand := fleet.New(cfg, sim.NewClock())
-	fSpec := fleet.New(cfg, sim.NewClock())
-
-	hand, _, err := fHand.IncrementalMaintenanceService(
-		core.TopK{K: 40}, model, maintenance.DefaultPolicy(), fleet.IncrOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := policy.DefaultSpec()
 	spec.Execution = nil
-	spec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(40)}}
+	spec.Selector = policy.TopKSelector(40)
 	spec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
-	ss, err := fSpec.ServiceFromSpec(spec, model, fleet.SpecRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Feed == nil {
-		t.Fatal("trigger section did not enable the observation plane")
-	}
-
-	for d := 1; d <= 6; d++ {
-		fHand.AdvanceDay()
-		fSpec.AdvanceDay()
-		dHand, err := hand.Decide()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dSpec, err := ss.Svc.Decide()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if decisionFingerprint(dHand) != decisionFingerprint(dSpec) {
-			t.Fatalf("day %d: incremental decisions diverge", d)
-		}
-		if _, err := hand.Act(dHand); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ss.Svc.Act(dSpec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkParityGolden(t, "incremental-spec", []int64{5}, 6, func(seed int64) fleet.Config {
+		cfg := parityFleetConfig(seed)
+		cfg.DailyWriteProb = 0.3
+		return cfg
+	}, spec)
 }
 
 // TestHotReloadBetweenCycles exercises the acceptance flow end to end:
