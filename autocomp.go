@@ -13,25 +13,22 @@
 //
 // The quickest way in:
 //
-//	svc, err := autocomp.New(autocomp.Options{
-//		Catalog:  cp,       // *catalog.ControlPlane (OpenHouse-style)
-//		Cluster:  compCl,   // *cluster.Cluster for rewrite jobs
-//		TargetFileSize: 512 << 20,
-//		TopK:     10,
-//	})
+//	spec := autocomp.DefaultSpec()
+//	spec.Selector = autocomp.TopKSelector(10)
+//	svc, err := autocomp.New(cp, compCl, spec) // catalog, compaction cluster
 //	report, err := svc.RunOnce()
 //
-// For full control, assemble core.Config yourself; this package only
-// re-exports the common pieces.
+// Every stage is a field of the spec; see internal/policy for the
+// component names and parameters.
 package autocomp
 
 import (
-	"time"
-
 	"autocomp/internal/catalog"
 	"autocomp/internal/cluster"
 	"autocomp/internal/compaction"
 	"autocomp/internal/core"
+	"autocomp/internal/policy"
+	"autocomp/internal/storage"
 )
 
 // Re-exported core types: the OODA pipeline's building blocks.
@@ -70,6 +67,8 @@ type (
 	PeriodicTrigger = core.PeriodicTrigger
 	// AfterWriteHook is the push-based optimize-after-write trigger.
 	AfterWriteHook = core.AfterWriteHook
+	// Spec is a declarative pipeline: every OODA stage by component name.
+	Spec = policy.Spec
 )
 
 // Re-exported strategy components.
@@ -78,6 +77,10 @@ var (
 	NewService = core.NewService
 	// QuotaAdaptiveWeights is the production weighting w1=0.5(1+u).
 	QuotaAdaptiveWeights = core.QuotaAdaptiveWeights
+	// TopKSelector and BudgetSelector are the spec's fixed-k and
+	// GBHr-budget (dynamic k) selectors.
+	TopKSelector   = policy.TopKSelector
+	BudgetSelector = policy.BudgetSelector
 )
 
 // Scope constants for candidate generation.
@@ -87,112 +90,38 @@ const (
 	ScopeSnapshot  = core.ScopeSnapshot
 )
 
-// Options configures the convenience constructor New: an OpenHouse-style
-// deployment with the paper's production defaults (§7) — table-scope
-// candidates, ΔF + GBHr traits, quota-adaptive MOOP weights, and top-k or
-// budget selection.
-type Options struct {
-	// Catalog is the control plane holding the tables.
-	Catalog *catalog.ControlPlane
-	// Cluster runs the rewrite jobs (a dedicated compaction cluster in
-	// the paper's deployment).
-	Cluster *cluster.Cluster
-
-	// TargetFileSize is the compaction target (default 512 MB).
-	TargetFileSize int64
-
-	// TopK fixes the number of work units per cycle. If BudgetGBHr is
-	// set instead, k is chosen dynamically to fill the budget.
-	TopK       int
-	BudgetGBHr float64
-
-	// HybridScope switches to partition-scope work units on partitioned
-	// tables (§6's hybrid strategy). Default is table scope.
-	HybridScope bool
-
-	// BenefitWeight/CostWeight are static MOOP weights (default
-	// 0.7/0.3). When QuotaAdaptive is true, w1 follows §7's
-	// 0.5×(1+quota utilization) instead.
-	BenefitWeight float64
-	CostWeight    float64
-	QuotaAdaptive bool
-
-	// MinTableAge skips recently created tables (default 24h).
-	MinTableAge time.Duration
-	// MinSmallFiles skips candidates with fewer small files (default 2).
-	MinSmallFiles int
-
-	// OnReport hooks receive each cycle's report (feedback loop).
-	OnReport []func(*Report)
+// DefaultSpec returns the paper's production pipeline on an
+// OpenHouse-style catalog (§7): table-scope candidates of tables at
+// least 24h old that are not intermediate outputs, at least 2 small
+// files each, ΔF + GBHr traits in a 0.7/0.3 MOOP, and tables compacted
+// in parallel (a table's partitions in sequence). The caller sets the
+// selector; nil selects every ranked candidate.
+func DefaultSpec() *Spec {
+	s := policy.DefaultDataSpec(false)
+	s.Name = "autocomp-default"
+	s.PreFilters = []policy.Component{
+		{Name: "min-table-age", Params: map[string]any{"min": "24h"}},
+		policy.C("not-intermediate"),
+	}
+	s.Scheduler = &policy.Component{Name: "tables-parallel"}
+	return s
 }
 
-// New builds a Service over an OpenHouse-style catalog with the paper's
-// production configuration.
-func New(opts Options) (*Service, error) {
-	if opts.TargetFileSize <= 0 {
-		opts.TargetFileSize = 512 << 20
+// New builds a Service over an OpenHouse-style catalog from spec, with
+// rewrite jobs on cluster cl (a dedicated compaction cluster in the
+// paper's deployment) at a 512 MB target. The cluster's shape prices
+// the compute-cost trait. onReport hooks receive each cycle's report
+// (the feedback loop).
+func New(cp *catalog.ControlPlane, cl *cluster.Cluster, spec *Spec, onReport ...func(*Report)) (*Service, error) {
+	const target = 512 * storage.MB
+	ccfg := cl.Config()
+	env := policy.Env{
+		Now:                 cp.Clock().Now,
+		TargetFileSize:      target,
+		ExecutorMemoryGB:    ccfg.ExecutorMemoryGB(),
+		RewriteBytesPerHour: ccfg.RewriteBytesPerHour(),
 	}
-	if opts.BenefitWeight == 0 && opts.CostWeight == 0 {
-		opts.BenefitWeight, opts.CostWeight = 0.7, 0.3
-	}
-	if opts.MinTableAge == 0 {
-		opts.MinTableAge = 24 * time.Hour
-	}
-	if opts.MinSmallFiles == 0 {
-		opts.MinSmallFiles = 2
-	}
-
-	clock := opts.Catalog.Clock()
-	exec := &compaction.Executor{
-		Cluster:        opts.Cluster,
-		TargetFileSize: opts.TargetFileSize,
-		AppPrefix:      "compaction/",
-	}
-	ccfg := opts.Cluster.Config()
-	slots := float64(ccfg.Executors * ccfg.ExecutorCores)
-	perSlot := 1 / (1/ccfg.ScanBytesPerSec + 1/ccfg.WriteBytesPerSec)
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    ccfg.ExecutorMemoryGB * float64(ccfg.Executors),
-		RewriteBytesPerHour: perSlot * slots * 3600,
-	}
-
-	var gen core.Generator = core.TableScopeGenerator{}
-	if opts.HybridScope {
-		gen = core.HybridScopeGenerator{}
-	}
-	var sel core.Selector = core.SelectAll{}
-	switch {
-	case opts.BudgetGBHr > 0:
-		sel = core.BudgetSelector{BudgetGBHr: opts.BudgetGBHr}
-	case opts.TopK > 0:
-		sel = core.TopK{K: opts.TopK}
-	}
-	ranker := core.MOOPRanker{Objectives: []core.Objective{
-		{Trait: core.FileCountReduction{}, Weight: opts.BenefitWeight},
-		{Trait: cost, Weight: opts.CostWeight},
-	}}
-	if opts.QuotaAdaptive {
-		ranker.DynamicWeights = core.QuotaAdaptiveWeights()
-	}
-
-	return core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: opts.Catalog},
-		Generator: gen,
-		PreFilters: []core.Filter{
-			core.MinTableAge{Min: opts.MinTableAge, Now: clock.Now},
-			core.NotIntermediate{},
-		},
-		Observer: core.StatsObserver{
-			TargetFileSize: opts.TargetFileSize,
-			Quota:          opts.Catalog.QuotaUtilization,
-			Now:            clock.Now,
-		},
-		StatsFilters: []core.Filter{core.MinSmallFiles{Min: opts.MinSmallFiles}},
-		Traits:       []core.Trait{core.FileCountReduction{}, cost},
-		Ranker:       ranker,
-		Selector:     sel,
-		Scheduler:    core.TablesParallelPartitionsSequential{},
-		Runner:       core.ExecutorRunner{Exec: exec},
-		OnReport:     opts.OnReport,
-	})
+	exec := &compaction.Executor{Cluster: cl, TargetFileSize: target, AppPrefix: "compaction/"}
+	_, svc, _, err := policy.CatalogService(spec, env, cp, exec, onReport...)
+	return svc, err
 }

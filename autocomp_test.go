@@ -7,6 +7,7 @@ import (
 	"autocomp/internal/catalog"
 	"autocomp/internal/cluster"
 	"autocomp/internal/lst"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -40,18 +41,21 @@ func fragment(t *testing.T, cp *catalog.ControlPlane, db, name string, files int
 	return tbl
 }
 
+// topK returns the default spec selecting the k highest-ranked
+// candidates.
+func topK(k int) *Spec {
+	spec := DefaultSpec()
+	spec.Selector = TopKSelector(k)
+	return spec
+}
+
 func TestNewDefaultsAndRunOnce(t *testing.T) {
 	cp, cc, clock := facadeLake(t)
 	tbl := fragment(t, cp, "sales", "orders", 30)
 	clock.Advance(48 * time.Hour)
 
 	ledger := &EstimatorLedger{}
-	svc, err := New(Options{
-		Catalog:  cp,
-		Cluster:  cc,
-		TopK:     5,
-		OnReport: []func(*Report){ledger.Observe},
-	})
+	svc, err := New(cp, cc, topK(5), ledger.Observe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestNewDefaultsAndRunOnce(t *testing.T) {
 func TestNewAgeFilterSkipsFreshTables(t *testing.T) {
 	cp, cc, _ := facadeLake(t)
 	fragment(t, cp, "sales", "fresh", 30) // created "now"
-	svc, err := New(Options{Catalog: cp, Cluster: cc, TopK: 5})
+	svc, err := New(cp, cc, topK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,9 @@ func TestNewBudgetSelection(t *testing.T) {
 	clock.Advance(48 * time.Hour)
 	// Each candidate costs ~192GB × 160MB/1.8TBph ≈ 0.017 GBHr; a budget
 	// of 0.04 admits 2.
-	svc, err := New(Options{Catalog: cp, Cluster: cc, BudgetGBHr: 0.04})
+	spec := DefaultSpec()
+	spec.Selector = BudgetSelector(0.04)
+	svc, err := New(cp, cc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,9 @@ func TestNewQuotaAdaptive(t *testing.T) {
 	cp, cc, clock := facadeLake(t)
 	fragment(t, cp, "sales", "orders", 10)
 	clock.Advance(48 * time.Hour)
-	svc, err := New(Options{Catalog: cp, Cluster: cc, QuotaAdaptive: true, TopK: 1})
+	spec := topK(1)
+	spec.QuotaAdaptive = true
+	svc, err := New(cp, cc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +151,9 @@ func TestNewHybridScope(t *testing.T) {
 	}
 	clock.Advance(48 * time.Hour)
 
-	svc, err := New(Options{Catalog: cp, Cluster: cc, HybridScope: true, TopK: 100})
+	spec := topK(100)
+	spec.Generators = []policy.Component{policy.C("hybrid-scope")}
+	svc, err := New(cp, cc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

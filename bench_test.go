@@ -469,7 +469,7 @@ func BenchmarkFacadeRunOnce(b *testing.B) {
 			}
 		}
 		clock.Advance(48 * time.Hour)
-		svc, err := New(Options{Catalog: cp, Cluster: cc, TopK: 10})
+		svc, err := New(cp, cc, topK(10))
 		if err != nil {
 			b.Fatal(err)
 		}

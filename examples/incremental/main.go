@@ -17,6 +17,7 @@ import (
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -40,34 +41,20 @@ func main() {
 		write(tbl, 60) // fragment every table with small files
 	}
 
-	// The changefeed: every lst commit in the lake — including tables
-	// created later and maintenance operations — publishes to the
-	// feed's bus; the dirty-set tracker and the stats cache subscribe.
-	feed := changefeed.NewFeed(
-		changefeed.CatalogTriggers(cp, changefeed.TriggerPolicy{EveryCommits: 1}),
-		0, // no periodic reconciliation needed in this walkthrough
-	)
-	changefeed.AttachCatalog(feed.Bus, cp)
-
-	// A plain AutoComp pipeline, incrementalized by wrapping its three
+	// A plain AutoComp pipeline with a trigger section. The spec's
+	// trigger builds the changefeed: every lst commit in the lake —
+	// including tables created later and maintenance operations —
+	// publishes to the feed's bus, the dirty-set tracker and the stats
+	// cache subscribe, and the feed wraps the pipeline's three
 	// observation-side components; filters, traits, ranking, and
-	// selection are untouched.
-	target := int64(64 * storage.MB)
-	cost := core.ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(3 * storage.TB)}
-	svc, err := core.NewService(core.Config{
-		Connector: feed.Connector(core.CatalogConnector{CP: cp}),
-		Generator: feed.Generator(core.TableScopeGenerator{}),
-		Observer: feed.Observer(
-			core.StatsObserver{TargetFileSize: target, Quota: cp.QuotaUtilization, Now: clock.Now},
-			changefeed.StatsObserverRefresher(clock.Now, cp.QuotaUtilization),
-		),
-		StatsFilters: []core.Filter{core.MinSmallFiles{Min: 2}},
-		Traits:       []core.Trait{core.FileCountReduction{}, cost},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: 0.7},
-			{Trait: cost, Weight: 0.3},
-		}},
-	})
+	// selection are untouched. No periodic reconciliation is needed in
+	// this walkthrough.
+	spec := policy.DefaultDataSpec(false)
+	spec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
+	env := policy.StubEnv()
+	env.Now = clock.Now
+	env.TargetFileSize = 64 * storage.MB
+	_, svc, feed, err := policy.CatalogService(spec, env, cp, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

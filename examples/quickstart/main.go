@@ -52,13 +52,10 @@ func main() {
 
 	// AutoComp with the production defaults: ΔF + GBHr traits, MOOP
 	// 0.7/0.3, top-k selection.
+	spec := autocomp.DefaultSpec()
+	spec.Selector = autocomp.TopKSelector(10)
 	ledger := &autocomp.EstimatorLedger{}
-	svc, err := autocomp.New(autocomp.Options{
-		Catalog:  cp,
-		Cluster:  compCl,
-		TopK:     10,
-		OnReport: []func(*autocomp.Report){ledger.Observe},
-	})
+	svc, err := autocomp.New(cp, compCl, spec, ledger.Observe)
 	if err != nil {
 		log.Fatal(err)
 	}

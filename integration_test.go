@@ -19,6 +19,13 @@ import (
 	"autocomp/internal/storage"
 )
 
+// minTableAge sets spec's min-table-age pre-filter to min (a duration
+// string).
+func minTableAge(spec *Spec, min string) *Spec {
+	spec.PreFilters[0].Params["min"] = min
+	return spec
+}
+
 func TestQuotaBreachRelievedByCompaction(t *testing.T) {
 	lake := testkit.NewLake(3)
 	clock, fs, cp := lake.Clock, lake.FS, lake.CP
@@ -63,13 +70,9 @@ func TestQuotaBreachRelievedByCompaction(t *testing.T) {
 
 	// AutoComp with quota-adaptive weights steps in.
 	clock.Advance(48 * time.Hour)
-	svc, err := New(Options{
-		Catalog:       cp,
-		Cluster:       compCl,
-		TopK:          5,
-		QuotaAdaptive: true,
-		MinTableAge:   time.Hour,
-	})
+	spec := minTableAge(topK(5), "1h")
+	spec.QuotaAdaptive = true
+	svc, err := New(cp, compCl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestPeriodicServiceKeepsLakeHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := New(Options{Catalog: cp, Cluster: compCl, TopK: 5, MinTableAge: time.Minute})
+	svc, err := New(cp, compCl, minTableAge(topK(5), "1m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 				Bytes: 1 << 30, Parallelism: 100})
 		}
 		clock.Advance(48 * time.Hour)
-		svc, err := New(Options{Catalog: cp, Cluster: compCl, TopK: 3})
+		svc, err := New(cp, compCl, topK(3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"autocomp/internal/engine"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/workload"
 )
 
@@ -61,6 +62,30 @@ func (s Strategy) Label() string {
 	default:
 		return "No Compaction"
 	}
+}
+
+// Spec returns the strategy's policy spec: ΔF and GBHr objectives at the
+// strategy's weights, at least 2 small files per candidate, top-k
+// selection, and tables compacted in parallel with a table's partitions
+// in sequence. The hybrid strategy generates partition-scope work units
+// on partitioned tables and defers partitions written in the last 20
+// minutes: fine-grained units make the §3.3 recent-write filter usable,
+// whereas table-scope candidates on live tables are always "recently
+// written".
+func (s Strategy) Spec() *policy.Spec {
+	sp := policy.DefaultDataSpec(false)
+	sp.Name = s.Kind.String()
+	sp.Objectives[0].Weight, sp.Objectives[1].Weight = s.BenefitWeight, s.CostWeight
+	if s.Kind == MOOPHybrid {
+		sp.Generators = []policy.Component{policy.C("hybrid-scope")}
+		sp.StatsFilters = append(sp.StatsFilters,
+			policy.Component{Name: "candidate-quiet", Params: map[string]any{"min": "20m"}})
+	}
+	if s.TopK > 0 {
+		sp.Selector = policy.TopKSelector(s.TopK)
+	}
+	sp.Scheduler = &policy.Component{Name: "tables-parallel"}
+	return sp
 }
 
 // CABRunConfig configures one CAB experiment run.
@@ -154,7 +179,8 @@ func RunCAB(cfg CABRunConfig) (*CABResult, error) {
 		return nil, err
 	}
 	if cfg.Strategy.Kind != NoCompaction {
-		svc, err := r.buildService()
+		// Decide-only: runCompaction drives the plan rounds itself.
+		_, svc, _, err := policy.CatalogService(cfg.Strategy.Spec(), env.PolicyEnv(), env.CP, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -236,46 +262,6 @@ func (r *cabRun) load(plan *workload.Plan) error {
 	env.Clock.Set(loadEnd)
 	r.t0 = loadEnd
 	return nil
-}
-
-// buildService wires AutoComp per the strategy.
-func (r *cabRun) buildService() (*core.Service, error) {
-	env := r.env
-	var gen core.Generator = core.TableScopeGenerator{}
-	statsFilters := []core.Filter{core.MinSmallFiles{Min: 2}}
-	if r.cfg.Strategy.Kind == MOOPHybrid {
-		gen = core.HybridScopeGenerator{}
-		// Fine-grained work units make the §3.3 recent-write filter
-		// usable: hot partitions are deferred to a later run instead of
-		// racing their writers (table-scope candidates are always
-		// "recently written" on live tables, so the legacy table-scope
-		// configuration cannot apply it).
-		statsFilters = append(statsFilters, core.CandidateQuiet{
-			Min: 20 * time.Minute,
-			Now: env.Clock.Now,
-		})
-	}
-	costTrait := core.ComputeCost{
-		ExecutorMemoryGB:    env.ExecutorMemoryGB(),
-		RewriteBytesPerHour: env.RewriteBytesPerHour(),
-	}
-	return core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: env.CP},
-		Generator: gen,
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Quota:          env.CP.QuotaUtilization,
-			Now:            env.Clock.Now,
-		},
-		StatsFilters: statsFilters,
-		Traits:       []core.Trait{core.FileCountReduction{}, costTrait},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: r.cfg.Strategy.BenefitWeight},
-			{Trait: costTrait, Weight: r.cfg.Strategy.CostWeight},
-		}},
-		Selector:  core.TopK{K: r.cfg.Strategy.TopK},
-		Scheduler: core.TablesParallelPartitionsSequential{},
-	})
 }
 
 // schedule installs sampling, queries, and compaction triggers.

@@ -289,8 +289,8 @@ func (cp *ControlPlane) DatabasePolicies(db string) (TablePolicies, bool) {
 // database-level overrides first, then the table's own set fields on
 // top (most specific wins field-wise). Only operator-set fields appear;
 // fields no layer sets stay zero, and consumers apply their own
-// defaults (maintenance.CatalogPolicies.Default, changefeed trigger
-// defaults, DefaultPolicies for retention).
+// defaults (the policy spec layers beneath, through policy.Source;
+// DefaultPolicies for retention).
 func (cp *ControlPlane) EffectivePolicies(db, name string) (TablePolicies, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()

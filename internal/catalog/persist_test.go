@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"autocomp/internal/catalog"
-	"autocomp/internal/core"
 	"autocomp/internal/lst"
 	"autocomp/internal/lstlog"
 	"autocomp/internal/policy"
@@ -112,19 +111,7 @@ func decide(t *testing.T, cp *catalog.ControlPlane, clock *sim.Clock) []string {
 	}
 	env := policy.StubEnv()
 	env.Now = clock.Now
-	comp, err := policy.Compile(spec, env, policy.Bindings{
-		Connector: core.CatalogConnector{CP: cp},
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Quota:          cp.QuotaUtilization,
-			Now:            clock.Now,
-		},
-		Catalog: cp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := core.NewService(comp.Core)
+	_, svc, _, err := policy.CatalogService(spec, env, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,21 @@ func (f *Feed) Observer(inner core.Observer, refresh func(*core.Candidate, *core
 	return CachingObserver{Inner: inner, Cache: f.Cache, Refresh: refresh}
 }
 
+// RedirtyConflicts is an OnReport hook that re-dirties every table whose
+// job ended in a terminal conflict. A conflict leaves the table
+// unmaintained without a state change, so no commit event re-dirties
+// it; successful maintenance publishes its own event. Feedback runs on
+// every driver (the serial act phase and the scheduled execution plane
+// both fold their results into a report), so this is the single
+// conflict-redirty mechanism.
+func (f *Feed) RedirtyConflicts(rep *core.Report) {
+	for _, cr := range rep.Results {
+		if cr.Result.Conflict {
+			f.Tracker.Redirty(cr.Candidate.Table.FullName())
+		}
+	}
+}
+
 // beginCycle starts an observation cycle: a full enumeration at cold
 // start and every ReconcileEvery-th cycle, the dirty set otherwise.
 func (f *Feed) beginCycle(full core.Connector) []core.Table {

@@ -4,8 +4,8 @@
 // queueing, and a per-application GBHr ledger.
 //
 // GBHr (gigabyte-hours of executor memory) is the paper's compute-cost
-// unit: GBHr = ExecutorMemoryGB × executors × job duration in hours (§4.2,
-// §6 "GBHrApp"). Production figures use TBHr = GBHr/1024 (§7).
+// unit: GBHr = memory per executor × executors × job duration in hours
+// (§4.2, §6 "GBHrApp"). Production figures use TBHr = GBHr/1024 (§7).
 package cluster
 
 import (
@@ -19,10 +19,10 @@ import (
 // cluster has 1 driver + 15 executors, the compaction cluster 1 + 3, each
 // node an 8-core, 64 GB Azure Standard E8s v3 (§6).
 type Config struct {
-	Name             string
-	Executors        int
-	ExecutorCores    int
-	ExecutorMemoryGB float64
+	Name                string
+	Executors           int
+	ExecutorCores       int
+	MemoryPerExecutorGB float64
 
 	// ScanBytesPerSec and WriteBytesPerSec are per-task-slot throughputs.
 	ScanBytesPerSec  float64
@@ -45,30 +45,30 @@ type Config struct {
 // QueryClusterConfig mirrors the paper's 1+15-node query cluster.
 func QueryClusterConfig() Config {
 	return Config{
-		Name:              "query",
-		Executors:         15,
-		ExecutorCores:     8,
-		ExecutorMemoryGB:  64,
-		ScanBytesPerSec:   64 << 20,
-		WriteBytesPerSec:  32 << 20,
-		PerFileOverhead:   40 * time.Millisecond,
-		JobStartup:        2 * time.Second,
-		MaxConcurrentJobs: 20,
+		Name:                "query",
+		Executors:           15,
+		ExecutorCores:       8,
+		MemoryPerExecutorGB: 64,
+		ScanBytesPerSec:     64 << 20,
+		WriteBytesPerSec:    32 << 20,
+		PerFileOverhead:     40 * time.Millisecond,
+		JobStartup:          2 * time.Second,
+		MaxConcurrentJobs:   20,
 	}
 }
 
 // CompactionClusterConfig mirrors the paper's 1+3-node compaction cluster.
 func CompactionClusterConfig() Config {
 	return Config{
-		Name:              "compaction",
-		Executors:         3,
-		ExecutorCores:     8,
-		ExecutorMemoryGB:  64,
-		ScanBytesPerSec:   64 << 20,
-		WriteBytesPerSec:  32 << 20,
-		PerFileOverhead:   25 * time.Millisecond,
-		JobStartup:        5 * time.Second,
-		MaxConcurrentJobs: 10,
+		Name:                "compaction",
+		Executors:           3,
+		ExecutorCores:       8,
+		MemoryPerExecutorGB: 64,
+		ScanBytesPerSec:     64 << 20,
+		WriteBytesPerSec:    32 << 20,
+		PerFileOverhead:     25 * time.Millisecond,
+		JobStartup:          5 * time.Second,
+		MaxConcurrentJobs:   10,
 	}
 }
 
@@ -171,10 +171,27 @@ func (c *Cluster) EstimateDuration(spec JobSpec) time.Duration {
 	return d
 }
 
+// ExecutorMemoryGB returns the memory allocated to a job's executors,
+// the ExecutorMemoryGB term of the §4.2 cost estimator.
+func (c Config) ExecutorMemoryGB() float64 {
+	return c.MemoryPerExecutorGB * float64(c.Executors)
+}
+
+// RewriteBytesPerHour returns the steady-state rewrite throughput of all
+// task slots (read+write amortized), the RewriteBytesPerHour term of the
+// §4.2 cost estimator. Real jobs run slower than this ideal (startup,
+// per-file overhead, wave rounding), which is exactly the §7 cost
+// underestimation.
+func (c Config) RewriteBytesPerHour() float64 {
+	slots := float64(c.Executors * c.ExecutorCores)
+	perSlot := 1 / (1/c.ScanBytesPerSec + 1/c.WriteBytesPerSec)
+	return perSlot * slots * 3600
+}
+
 // GBHrFor returns the compute cost of running spec for the estimated
-// duration: ExecutorMemoryGB × executors × hours.
+// duration: ExecutorMemoryGB() × hours.
 func (c *Cluster) GBHrFor(d time.Duration) float64 {
-	return c.cfg.ExecutorMemoryGB * float64(c.cfg.Executors) * d.Hours()
+	return c.cfg.ExecutorMemoryGB() * d.Hours()
 }
 
 // Submit runs spec starting at the current virtual time, queueing behind

@@ -64,7 +64,7 @@ func TestEstimateDurationMinimum(t *testing.T) {
 }
 
 func TestGBHrAccounting(t *testing.T) {
-	cfg := Config{Executors: 4, ExecutorCores: 1, ExecutorMemoryGB: 64,
+	cfg := Config{Executors: 4, ExecutorCores: 1, MemoryPerExecutorGB: 64,
 		ScanBytesPerSec: 1 << 20, WriteBytesPerSec: 1 << 20}
 	c, _ := testCluster(cfg)
 	// 1 hour of work: want GBHr = 64 * 4 * 1 = 256.

@@ -7,6 +7,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -106,26 +107,12 @@ func RunEstimator(seed int64, quick bool) (Result, error) {
 		}
 	}
 
+	// The production ranking (ΔF 0.7, GBHr 0.3) with no small-file
+	// floor, selecting every candidate.
+	spec := policy.DefaultDataSpec(false)
+	spec.StatsFilters = nil
 	ledger := &core.EstimatorLedger{}
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    env.ExecutorMemoryGB(),
-		RewriteBytesPerHour: env.RewriteBytesPerHour(),
-	}
-	svc, err := core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: env.CP},
-		Generator: core.TableScopeGenerator{},
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Now:            env.Clock.Now,
-		},
-		Traits: []core.Trait{core.FileCountReduction{}, cost},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: 0.7},
-			{Trait: cost, Weight: 0.3},
-		}},
-		Runner:   core.ExecutorRunner{Exec: env.Exec},
-		OnReport: []func(*core.Report){ledger.Observe},
-	})
+	_, svc, _, err := policy.CatalogService(spec, env.PolicyEnv(), env.CP, env.Exec, ledger.Observe)
 	if err != nil {
 		return nil, err
 	}

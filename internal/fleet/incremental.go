@@ -41,19 +41,7 @@ func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Confi
 	cfg.Connector = feed.Connector(cfg.Connector)
 	cfg.Generator = feed.Generator(cfg.Generator)
 	cfg.Observer = feed.Observer(cfg.Observer, f.statsRefresher())
-	// Terminal conflicts leave the table unmaintained without a state
-	// change, so no commit event re-dirties it; reconsider it next
-	// cycle anyway. (Successful maintenance publishes its own event.)
-	// Feedback runs on every driver — the serial act phase and the
-	// scheduled execution plane both fold their results into a report —
-	// so this is the single conflict-redirty mechanism.
-	cfg.OnReport = append(cfg.OnReport, func(rep *core.Report) {
-		for _, cr := range rep.Results {
-			if cr.Result.Conflict {
-				feed.Tracker.Redirty(cr.Candidate.Table.FullName())
-			}
-		}
-	})
+	cfg.OnReport = append(cfg.OnReport, feed.RedirtyConflicts)
 	return cfg, feed
 }
 

@@ -150,78 +150,3 @@ func TestRunnerDispatchesActions(t *testing.T) {
 		t.Fatal("data candidate without data runner succeeded")
 	}
 }
-
-func TestCatalogServiceUnifiedCycle(t *testing.T) {
-	cp, _ := lake(t, 3, 25)
-	svc, err := NewCatalogService(cp, Options{
-		TargetFileSize:      512 * storage.MB,
-		ExecutorMemoryGB:    64,
-		RewriteBytesPerHour: float64(3 * storage.TB),
-		Selector:            core.BudgetSelector{BudgetGBHr: 1024},
-		DefaultPolicy: Policy{
-			RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Override one table's catalog policy: retention must follow it.
-	if err := cp.SetPolicies("db1", "ta", catalog.TablePolicies{RetainSnapshots: 2, CheckpointEveryVersions: 10}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := svc.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := rep.ActionCounts()
-	if counts[core.ActionMetadataCheckpoint] == 0 {
-		t.Fatalf("action counts = %v", counts)
-	}
-	if rep.MetadataReduced <= 0 {
-		t.Fatalf("metadata reduced = %d", rep.MetadataReduced)
-	}
-	ta, err := cp.Table("db1", "ta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ta.Snapshots()); got != 2 {
-		t.Fatalf("ta retained %d snapshots, want 2 (catalog policy)", got)
-	}
-
-	// Steady state: a second cycle right after finds nothing metadata-
-	// worthy (no commits in between).
-	rep2, err := svc.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.MetadataReduced != 0 {
-		t.Fatalf("second cycle reduced %d metadata objects", rep2.MetadataReduced)
-	}
-}
-
-func TestBudgetSharedAcrossActionFamilies(t *testing.T) {
-	cp, _ := lake(t, 2, 30)
-	// A budget of 0 GBHr admits only zero-cost actions; with the cost
-	// model on, every maintenance action costs > 0, so nothing runs —
-	// metadata actions obey the same selector as data compaction.
-	svc, err := NewCatalogService(cp, Options{
-		TargetFileSize:      512 * storage.MB,
-		ExecutorMemoryGB:    64,
-		RewriteBytesPerHour: float64(3 * storage.TB),
-		Selector:            core.BudgetSelector{BudgetGBHr: 0},
-		DefaultPolicy:       Policy{RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := svc.Decide()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Ranked) == 0 {
-		t.Fatal("no candidates ranked")
-	}
-	if len(d.Selected) != 0 {
-		t.Fatalf("zero budget selected %d candidates", len(d.Selected))
-	}
-}

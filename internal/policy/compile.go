@@ -176,8 +176,9 @@ func (b *Builder) Scheduler(c Component) (core.Scheduler, error) {
 }
 
 // Validate checks a spec end to end — structure, component resolution,
-// parameter names and types, objective weights — without binding it to a
-// substrate. It returns every problem found, joined.
+// parameter names and types, objective weights, and that every trait a
+// ranker, selector or filter reads is computed — without binding it to
+// a substrate. It returns every problem found, joined.
 func Validate(s *Spec, env Env) error {
 	_, err := Compile(s, env, Bindings{})
 	return err
@@ -304,6 +305,34 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	selector, err := bld.Selector(selComp)
 	if err != nil {
 		fail(err)
+	}
+	// A budget selector or max-trait filter reads a trait's value; one the
+	// spec never computes reads as 0, so the budget would admit every
+	// candidate and the filter would drop none.
+	if bs, ok := selector.(core.BudgetSelector); ok {
+		name := bs.CostTrait
+		if name == "" {
+			name = core.ComputeCost{}.Name()
+		}
+		if !traitNames[name] {
+			fail(fmt.Errorf("policy: budget cost trait %q is not in the traits list", name))
+		}
+	}
+	var checkReads func(core.Filter)
+	checkReads = func(f core.Filter) {
+		switch f := f.(type) {
+		case core.MaxTraitValue:
+			if !traitNames[f.TraitName] {
+				fail(fmt.Errorf("policy: max-trait trait %q is not in the traits list", f.TraitName))
+			}
+		case core.ForAction:
+			checkReads(f.Inner)
+		}
+	}
+	for _, fs := range [][]core.Filter{pre, stats, traitFs} {
+		for _, f := range fs {
+			checkReads(f)
+		}
 	}
 	schedComp := Component{Name: "sequential"}
 	if s.Scheduler != nil {
