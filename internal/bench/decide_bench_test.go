@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/sim"
@@ -16,10 +15,12 @@ import (
 )
 
 // decideService builds an aged seed-1 fleet of the given size wired to
-// the unified maintenance decide pipeline, optionally routed through a
-// sharded decide engine. Decide is a pure observe→orient→decide pass,
-// so one service can be re-decided b.N times against frozen state.
-func decideService(tb testing.TB, tables, shards int) (*core.Service, *decideshard.Engine) {
+// the unified maintenance decide pipeline, deciding across shards (1 =
+// the serial pass); the returned stats hold the latest cycle's shard
+// timings, stamped on host wall time. Decide is a pure
+// observe→orient→decide pass, so one service can be re-decided b.N
+// times against frozen state.
+func decideService(tb testing.TB, tables, shards int) (*core.Service, *core.CycleStats) {
 	tb.Helper()
 	cfg := fleet.DefaultConfig()
 	cfg.Seed = 1
@@ -36,16 +37,20 @@ func decideService(tb testing.TB, tables, shards int) (*core.Service, *decidesha
 		tb.Fatal(err)
 	}
 	c := comp.Core
-	var eng *decideshard.Engine
+	c.Clock = nil
+	last := new(core.CycleStats)
 	if shards > 1 {
-		eng = decideshard.New(decideshard.Options{Shards: shards})
-		c.Decider = eng.Decide
+		c.Decider = func(cfg *core.Config) (*core.Decision, error) {
+			d, cs, err := cfg.DecideSharded(shards, 0)
+			*last = cs
+			return d, err
+		}
 	}
 	svc, err := core.NewService(c)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return svc, eng
+	return svc, last
 }
 
 // BenchmarkDecide measures decide wall time across fleet sizes and shard
@@ -60,17 +65,16 @@ func BenchmarkDecide(b *testing.B) {
 	for _, tables := range sizes {
 		for _, shards := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("tables-%d/shards-%d", tables, shards), func(b *testing.B) {
-				svc, eng := decideService(b, tables, shards)
+				svc, last := decideService(b, tables, shards)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := svc.Decide(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if eng != nil {
-					cs := eng.LastCycle()
-					b.ReportMetric(float64(cs.CriticalPath())/float64(time.Millisecond), "critpath-ms")
-					b.ReportMetric(float64(cs.Merge)/float64(time.Microsecond), "merge-us")
+				if last.Shards > 1 {
+					b.ReportMetric(float64(last.CriticalPath())/float64(time.Millisecond), "critpath-ms")
+					b.ReportMetric(float64(last.Merge)/float64(time.Microsecond), "merge-us")
 				}
 			})
 		}
@@ -78,8 +82,9 @@ func BenchmarkDecide(b *testing.B) {
 }
 
 // bestDecide returns the fastest of reps timed decides (one untimed
-// warmup first) plus the matching best engine critical path.
-func bestDecide(tb testing.TB, svc *core.Service, eng *decideshard.Engine, reps int) (wall, crit time.Duration) {
+// warmup first) plus the matching best critical path of the cycles
+// last records.
+func bestDecide(tb testing.TB, svc *core.Service, last *core.CycleStats, reps int) (wall, crit time.Duration) {
 	tb.Helper()
 	if _, err := svc.Decide(); err != nil {
 		tb.Fatal(err)
@@ -91,8 +96,8 @@ func bestDecide(tb testing.TB, svc *core.Service, eng *decideshard.Engine, reps 
 		}
 		el := time.Since(start)
 		c := el
-		if eng != nil && eng.Shards() > 1 {
-			c = eng.LastCycle().CriticalPath()
+		if last.Shards > 1 {
+			c = last.CriticalPath()
 		}
 		if i == 0 || el < wall {
 			wall = el
@@ -119,11 +124,11 @@ func TestDecideShardedThroughputGate(t *testing.T) {
 		t.Skip("set AUTOCOMP_BENCH_GATE=1 to enforce the decide throughput gate")
 	}
 	const tables, reps = 20_000, 5
-	serialSvc, _ := decideService(t, tables, 1)
-	serialWall, _ := bestDecide(t, serialSvc, nil, reps)
+	serialSvc, serialLast := decideService(t, tables, 1)
+	serialWall, _ := bestDecide(t, serialSvc, serialLast, reps)
 
-	shardSvc, eng := decideService(t, tables, 4)
-	wall, crit := bestDecide(t, shardSvc, eng, reps)
+	shardSvc, last := decideService(t, tables, 4)
+	wall, crit := bestDecide(t, shardSvc, last, reps)
 
 	gate, metric := wall, "measured wall"
 	if runtime.GOMAXPROCS(0) < 4 {

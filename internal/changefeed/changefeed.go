@@ -38,7 +38,7 @@
 //
 // Lock striping: the tracker and the stats cache partition their state
 // across S stripes keyed by core.ShardOf on the table name — the same
-// hash the sharded decide plane (internal/decideshard) partitions
+// hash the sharded decide pass (core.Config.DecideSharded) partitions
 // tables with, so a decide shard's observations land on stripes no
 // other shard is writing and the decide fan-out never serializes on a
 // global mutex. Striping is invisible at the API: every method keeps

@@ -25,7 +25,7 @@ type Ranker interface {
 // The contract RankShard must honor: for any partition of a pool, the
 // multiset of (candidate, Score) pairs across all RankShard outputs
 // equals the Rank output over the whole pool, and each output is sorted
-// by RankLess. The sharded decide plane (internal/decideshard) then
+// by RankLess. The sharded decide pass (DecideSharded) then
 // k-way-merges the sorted shards into the exact serial ranking; rankers
 // that cannot provide this factorization simply don't implement the
 // interface and are ranked serially.
@@ -122,7 +122,7 @@ func (r MOOPRanker) Validate() error {
 
 // Rank implements Ranker: one ShardStats pass over the whole pool, then
 // RankShard against those bounds — the exact same arithmetic the sharded
-// decide plane runs per shard, so serial and sharded scores are
+// decide pass runs per shard, so serial and sharded scores are
 // bit-identical by construction.
 func (r MOOPRanker) Rank(cands []*Candidate) []*Candidate {
 	if len(cands) == 0 {
@@ -279,7 +279,7 @@ func QuotaAdaptiveWeights() func(c *Candidate) []float64 {
 // candidate ID so identical inputs always produce identical rankings
 // (NFR2). It is a total order whenever candidate IDs are unique — true
 // for every generator configuration shipped here — which is what lets
-// the sharded decide plane merge independently sorted shards into the
+// the sharded decide pass merge independently sorted shards into the
 // exact serial ordering.
 func RankLess(a, b *Candidate) bool {
 	if a.Score != b.Score {

@@ -1,8 +1,6 @@
-package decideshard
+package core
 
-import "autocomp/internal/core"
-
-// MergeRanked merges per-shard rankings — each sorted by core.RankLess —
+// MergeRanked merges per-shard rankings — each sorted by RankLess —
 // into one fully ranked list with a deterministic k-way heap. The output
 // equals sorting the concatenation (in shard order) with the serial
 // ranker's stable sort: RankLess decides between heads, and when two
@@ -16,7 +14,7 @@ import "autocomp/internal/core"
 // part of the decision surface (fingerprints, traces, explainability
 // funnels all print it), so byte parity requires every position, and
 // the heap emits them already in order.
-func MergeRanked(shards [][]*core.Candidate) []*core.Candidate {
+func MergeRanked(shards [][]*Candidate) []*Candidate {
 	nonEmpty, total := 0, 0
 	last := -1
 	for s, part := range shards {
@@ -35,16 +33,16 @@ func MergeRanked(shards [][]*core.Candidate) []*core.Candidate {
 
 	// cursor is one shard's read position in the heap.
 	type cursor struct {
-		part  []*core.Candidate
+		part  []*Candidate
 		shard int
 		pos   int
 	}
 	less := func(a, b *cursor) bool {
 		ca, cb := a.part[a.pos], b.part[b.pos]
-		if core.RankLess(ca, cb) {
+		if RankLess(ca, cb) {
 			return true
 		}
-		if core.RankLess(cb, ca) {
+		if RankLess(cb, ca) {
 			return false
 		}
 		return a.shard < b.shard
@@ -78,7 +76,7 @@ func MergeRanked(shards [][]*core.Candidate) []*core.Candidate {
 		siftDown(i)
 	}
 
-	out := make([]*core.Candidate, 0, total)
+	out := make([]*Candidate, 0, total)
 	for len(heap) > 0 {
 		top := heap[0]
 		out = append(out, top.part[top.pos])

@@ -1,4 +1,4 @@
-package decideshard
+package core_test
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ func (t mergeTable) LiveFiles() []lst.DataFile              { return nil }
 func (t mergeTable) FilesInPartition(string) []lst.DataFile { return nil }
 
 // TestMergeRankedMatchesStableSortProperty drives 500 random cases
-// through MergeRanked and checks the defining property: merging
+// through core.MergeRanked and checks the defining property: merging
 // per-shard stable-sorted rankings equals stable-sorting the shard
 // concatenation with core.RankLess. Scores are drawn from a tiny pool
 // (deliberate ties, signed zero, infinities) and candidate IDs are
@@ -71,7 +71,7 @@ func TestMergeRankedMatchesStableSortProperty(t *testing.T) {
 		for _, p := range parts {
 			sort.SliceStable(p, func(i, j int) bool { return core.RankLess(p[i], p[j]) })
 		}
-		got := MergeRanked(parts)
+		got := core.MergeRanked(parts)
 		if len(got) != len(want) {
 			t.Fatalf("case %d: merged %d candidates, want %d", ci, len(got), len(want))
 		}
@@ -167,7 +167,7 @@ func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 		for s, p := range parts {
 			ranked[s] = ranker.RankShard(p, global)
 		}
-		sharded := capture(MergeRanked(ranked))
+		sharded := capture(core.MergeRanked(ranked))
 
 		if len(sharded) != len(serial) {
 			t.Fatalf("case %d: sharded ranked %d, serial %d", ci, len(sharded), len(serial))

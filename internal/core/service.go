@@ -35,16 +35,17 @@ type Config struct {
 
 	// Decider, when set, replaces the serial decide pass: Service.Decide
 	// hands it the defaulted configuration and emits the decision
-	// telemetry around the call. The sharded decide plane
-	// (internal/decideshard) attaches here via the policy compiler's
-	// decide_shards knob; nil keeps the single-goroutine pass.
+	// telemetry around the call. The policy compiler attaches a
+	// DecideSharded call here for decide_shards > 1; nil keeps the
+	// single-goroutine pass.
 	Decider Decider
 
-	// Clock, when set, supplies the instants latency telemetry is
-	// stamped with. A simulation passes its virtual clock here so the
-	// latency histograms are a deterministic function of the seed
-	// instead of leaking host wall time into the metric stream; nil
-	// means the process wall clock.
+	// Clock, when set, supplies the instants latency telemetry and
+	// sharded-decide timings (CycleStats) are stamped with. A
+	// simulation passes its virtual clock here so the latency
+	// histograms are a deterministic function of the seed instead of
+	// leaking host wall time into the metric stream; nil means the
+	// process wall clock.
 	Clock func() time.Duration
 }
 
@@ -137,40 +138,16 @@ func (s *Service) Decide() (*Decision, error) {
 	return d, nil
 }
 
-// DecideSerial is the single-goroutine decide pass over the whole pool —
-// the default Decider and the parity reference for sharded engines.
+// DecideSerial is the single-goroutine decide pass over the whole pool:
+// DecideSharded at one shard, and the default when no Decider is set.
 func (cfg *Config) DecideSerial() (*Decision, error) {
-	d := &Decision{At: cfg.Connector.Now()}
-
-	cands := cfg.Generator.Candidates(cfg.Connector.Tables())
-	d.Generated = len(cands)
-
-	cands = applyFilters(cands, cfg.PreFilters)
-	d.AfterPreFilters = len(cands)
-
-	for _, c := range cands {
-		if err := cfg.ObserveCandidate(c); err != nil {
-			return nil, err
-		}
-	}
-	cands = applyFilters(cands, cfg.StatsFilters)
-	d.AfterStatsFilter = len(cands)
-
-	orient(cands, cfg.Traits)
-	cands = applyFilters(cands, cfg.TraitFilters)
-	d.AfterTraitFilter = len(cands)
-
-	d.Ranked = cfg.Ranker.Rank(cands)
-	d.Selected = cfg.Selector.Select(d.Ranked)
-	d.Plan = cfg.Scheduler.Plan(d.Selected)
-	return d, nil
+	d, _, err := cfg.DecideSharded(1, 1)
+	return d, err
 }
 
-// ObserveCandidate runs the configured observer on one candidate,
-// storing the stats and maintaining the observation telemetry — the one
-// observe entry point both the serial pass and sharded engines use, so
-// the counters stay consistent whichever plane decides.
-func (cfg *Config) ObserveCandidate(c *Candidate) error {
+// observeCandidate runs the configured observer on one candidate,
+// storing the stats and maintaining the observation telemetry.
+func (cfg *Config) observeCandidate(c *Candidate) error {
 	mObserve.Inc()
 	stats, err := cfg.Observer.Observe(c)
 	if err != nil {

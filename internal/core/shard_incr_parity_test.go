@@ -1,4 +1,4 @@
-package decideshard_test
+package core_test
 
 import (
 	"testing"

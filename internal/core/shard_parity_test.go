@@ -1,6 +1,6 @@
-package decideshard_test
+package core_test
 
-// Decision-parity suite: the sharded decide plane must be byte-identical
+// Decision-parity suite: the sharded decide pass must be byte-identical
 // to the serial pass — same funnel counts, same ranked order and scores,
 // same selection and plan — across seeds, shard counts, ranker kinds,
 // and the full maintenance action mix. The fingerprints compared here
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
@@ -47,13 +46,21 @@ func compiledConfig(t *testing.T, f *fleet.Fleet, spec *policy.Spec) core.Config
 	return comp.Core
 }
 
+// shardedDecider decides through the sharded pass at a fixed shard
+// and worker count.
+func shardedDecider(shards, workers int) core.Decider {
+	return func(cfg *core.Config) (*core.Decision, error) {
+		d, _, err := cfg.DecideSharded(shards, workers)
+		return d, err
+	}
+}
+
 // shardedService wires the unified maintenance pipeline with
-// the sharded decide plane attached.
+// the sharded decide pass attached.
 func shardedService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Service {
 	t.Helper()
 	cfg := compiledConfig(t, f, maintenanceSpec(25))
-	eng := decideshard.New(decideshard.Options{Shards: shards, Workers: workers})
-	cfg.Decider = eng.Decide
+	cfg.Decider = shardedDecider(shards, workers)
 	svc, err := core.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,13 +69,17 @@ func shardedService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Ser
 }
 
 // TestShardDecisionParityMaintenance is the headline parity matrix:
-// seeds {1,7,42} × shard counts {1,2,4,16} over the unified maintenance
-// pipeline (data compaction competing with snapshot expiry, metadata
-// checkpoints, and manifest rewrites — the PR 1 action mix), acting on
-// every decision so the fleets age through state the decisions created.
+// seeds {1,7,42} × shard counts {1,2,4,16} × workers {4,1} over the
+// unified maintenance pipeline (data compaction competing with snapshot
+// expiry, metadata checkpoints, and manifest rewrites — the PR 1 action
+// mix), acting on every decision so the fleets age through state the
+// decisions created. One worker runs the shards in order on the calling
+// goroutine, a path a host with fewer cores than shards never takes at
+// the default worker count.
 func TestShardDecisionParityMaintenance(t *testing.T) {
 	seeds := []int64{1, 7, 42}
 	shardCounts := []int{1, 2, 4, 16}
+	workerCounts := []int{4, 1}
 	days := 4
 	tables := 150
 	if testing.Short() {
@@ -76,34 +87,36 @@ func TestShardDecisionParityMaintenance(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, shards := range shardCounts {
-			serialFleet, shardFleet := twinFleets(seed, tables)
-			serialSvc, err := core.NewService(compiledConfig(t, serialFleet, maintenanceSpec(25)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardSvc := shardedService(t, shardFleet, shards, 4)
+			for _, workers := range workerCounts {
+				serialFleet, shardFleet := twinFleets(seed, tables)
+				serialSvc, err := core.NewService(compiledConfig(t, serialFleet, maintenanceSpec(25)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardSvc := shardedService(t, shardFleet, shards, workers)
 
-			for day := 0; day < days; day++ {
-				serialFleet.AdvanceDay()
-				shardFleet.AdvanceDay()
-				dSerial, err := serialSvc.Decide()
-				if err != nil {
-					t.Fatalf("seed %d shards %d day %d: serial decide: %v", seed, shards, day, err)
-				}
-				dShard, err := shardSvc.Decide()
-				if err != nil {
-					t.Fatalf("seed %d shards %d day %d: sharded decide: %v", seed, shards, day, err)
-				}
-				fpSerial, fpShard := testkit.DecisionFingerprint(dSerial), testkit.DecisionFingerprint(dShard)
-				if fpSerial != fpShard {
-					t.Fatalf("seed %d shards %d day %d: decision fingerprints diverge\nserial:\n%s\nsharded:\n%s",
-						seed, shards, day, testkit.Head(fpSerial, 25), testkit.Head(fpShard, 25))
-				}
-				if _, err := serialSvc.Act(dSerial); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := shardSvc.Act(dShard); err != nil {
-					t.Fatal(err)
+				for day := 0; day < days; day++ {
+					serialFleet.AdvanceDay()
+					shardFleet.AdvanceDay()
+					dSerial, err := serialSvc.Decide()
+					if err != nil {
+						t.Fatalf("seed %d shards %d workers %d day %d: serial decide: %v", seed, shards, workers, day, err)
+					}
+					dShard, err := shardSvc.Decide()
+					if err != nil {
+						t.Fatalf("seed %d shards %d workers %d day %d: sharded decide: %v", seed, shards, workers, day, err)
+					}
+					fpSerial, fpShard := testkit.DecisionFingerprint(dSerial), testkit.DecisionFingerprint(dShard)
+					if fpSerial != fpShard {
+						t.Fatalf("seed %d shards %d workers %d day %d: decision fingerprints diverge\nserial:\n%s\nsharded:\n%s",
+							seed, shards, workers, day, testkit.Head(fpSerial, 25), testkit.Head(fpShard, 25))
+					}
+					if _, err := serialSvc.Act(dSerial); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := shardSvc.Act(dShard); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -126,7 +139,7 @@ func TestShardParityThresholdRanker(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardCfg := mkCfg(shardFleet)
-	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
+	shardCfg.Decider = shardedDecider(4, 0)
 	shardSvc, err := core.NewService(shardCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +163,7 @@ func TestShardParityThresholdRanker(t *testing.T) {
 }
 
 // nonLocalGenerator wraps a real generator while withholding the
-// table-local declaration, forcing the engine's serial-generation
+// table-local declaration, forcing the sharded pass's serial-generation
 // fallback with hash partitioning.
 type nonLocalGenerator struct{ inner core.Generator }
 
@@ -160,7 +173,7 @@ func (g nonLocalGenerator) Candidates(tables []core.Table) []*core.Candidate {
 }
 
 // TestShardParityGeneratorFallback proves the set-preserving fallback:
-// a generator the engine cannot fan out is generated once serially,
+// a generator the sharded pass cannot fan out is generated once serially,
 // hash-partitioned, and still ranked byte-identically.
 func TestShardParityGeneratorFallback(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(7, 100)
@@ -172,7 +185,7 @@ func TestShardParityGeneratorFallback(t *testing.T) {
 	}
 	shardCfg := compiledConfig(t, shardFleet, spec.Clone())
 	shardCfg.Generator = nonLocalGenerator{inner: shardCfg.Generator}
-	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
+	shardCfg.Decider = shardedDecider(4, 0)
 	shardSvc, err := core.NewService(shardCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +218,7 @@ func TestShardParityBudgetSelector(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardCfg := compiledConfig(t, shardFleet, spec.Clone())
-	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 16, Workers: 2}).Decide
+	shardCfg.Decider = shardedDecider(16, 2)
 	shardSvc, err := core.NewService(shardCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
-package decideshard_test
+package core_test
 
-// Concurrency battery for the sharded decide plane, meant to run under
+// Concurrency battery for the sharded decide pass, meant to run under
 // -race: commit events and table drops hammer the striped changefeed
 // from writer goroutines while sharded decide cycles run, and a mid-run
-// policy hot-reload swaps in a fresh feed and engine with a different
+// policy hot-reload swaps in a fresh feed and decider with a different
 // shard count at a cycle boundary — the only point shard counts may
 // change, because recompiling a policy builds both from scratch.
 
@@ -23,8 +23,8 @@ import (
 func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 	f := fleet.New(testkit.FleetConfig(5, 120), sim.NewClock())
 
-	// mk compiles a policy: a fresh striped feed and a fresh decide
-	// engine, partition counts aligned.
+	// mk compiles a policy: a fresh striped feed and a fresh sharded
+	// decider, partition counts aligned.
 	mk := func(shards int) (*core.Service, *changefeed.Feed) {
 		spec := maintenanceSpec(20)
 		spec.Trigger = &policy.TriggerSpec{EveryCommits: 1, ReconcileEvery: 3}

@@ -55,6 +55,37 @@ var (
 	mGBHrSpent = telemetry.Default().Counter(
 		"autocomp_core_gbhr_spent_total",
 		"Compute spent by executed actions (GB-hours), wasted retry work included.")
+
+	// The sharded decide pass's families; a one-shard pass records none.
+	mDecides = telemetry.Default().Counter(
+		"autocomp_decideshard_decides_total",
+		"Decide cycles run across more than one shard.")
+	mShardSeconds = telemetry.Default().HistogramVec(
+		"autocomp_decideshard_shard_seconds",
+		"Per-shard wall time of one decide cycle, by stage: the "+
+			"generate-through-trait-filter pipeline and the rank pass.",
+		telemetry.ExpBuckets(0.0001, 4, 10),
+		"stage")
+	mShardCandidates = telemetry.Default().Histogram(
+		"autocomp_decideshard_shard_candidates",
+		"Candidates one shard generated in one decide cycle.",
+		telemetry.ExpBuckets(1, 4, 12))
+	mMergeSeconds = telemetry.Default().Histogram(
+		"autocomp_decideshard_merge_seconds",
+		"Wall time of the deterministic k-way merge of ranked shards.",
+		telemetry.ExpBuckets(0.00001, 4, 10))
+	mShardsGauge = telemetry.Default().Gauge(
+		"autocomp_decideshard_shards",
+		"Decide shards of the most recent sharded decide cycle.")
+	mWorkersGauge = telemetry.Default().Gauge(
+		"autocomp_decideshard_workers",
+		"Worker-pool size of the most recent sharded decide cycle.")
+	mFallbacks = telemetry.Default().CounterVec(
+		"autocomp_decideshard_serial_fallbacks_total",
+		"Decide stages that fell back to the serial path, by reason: "+
+			"'generate' (generator neither sharded nor table-local) or "+
+			"'rank' (ranker does not factor across shards).",
+		"stage")
 )
 
 // noteDecision records the funnel counts and score spread of one decision.

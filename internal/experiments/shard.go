@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
 	"autocomp/internal/metrics"
 	"autocomp/internal/policy"
@@ -15,9 +14,9 @@ import (
 	"autocomp/internal/storage"
 )
 
-// --- Sharded decide plane: decide wall time vs shard count ---
+// --- Sharded decide pass: decide wall time vs shard count ---
 
-// ShardSample is one shard-count point of the decide-plane sweep.
+// ShardSample is one shard-count point of the decide-pass sweep.
 type ShardSample struct {
 	Shards  int `json:"shards"`
 	Workers int `json:"workers"`
@@ -37,7 +36,7 @@ type ShardSample struct {
 	ParityOK bool `json:"parity_ok"`
 }
 
-// ShardResult characterizes the sharded decide plane: the decision
+// ShardResult characterizes the sharded decide pass: the decision
 // bytes never change with the shard count while the decide critical
 // path shrinks toward the slowest shard plus the merge.
 type ShardResult struct {
@@ -94,11 +93,11 @@ func (r ShardResult) Details() any {
 	}{r.Tables, r.Gomaxprocs, r.SerialMS, r.Samples}
 }
 
-// RunShard sweeps the decide plane across shard counts on identically
+// RunShard sweeps the decide pass across shard counts on identically
 // seeded fleets under the unified maintenance pipeline. Per point it
-// measures decide wall time (best of reps), reads the engine's
-// per-shard timing for the critical-path projection, and asserts
-// byte-identical decision fingerprints against the serial baseline.
+// measures decide wall time (best of reps), reads the cycle's per-shard
+// timing for the critical-path projection, and asserts byte-identical
+// decision fingerprints against the serial baseline.
 func RunShard(seed int64, quick bool) (Result, error) {
 	// The shard sweep stays at paper scale even under -quick: the decide
 	// phase must be large enough (100k tables) for the per-shard timing
@@ -116,7 +115,9 @@ func RunShard(seed int64, quick bool) (Result, error) {
 	spec.Execution = nil
 
 	// mkSvc builds one aged fleet and its maintenance decide pipeline;
-	// identical seeds make every variant's lake byte-identical.
+	// identical seeds make every variant's lake byte-identical. The
+	// compiled config's virtual clock is dropped: decide latency and
+	// shard timings are host wall time here.
 	mkSvc := func(dec core.Decider) (*core.Service, error) {
 		cfg := fleetConfig(seed, quick)
 		cfg.InitialTables = tables
@@ -127,6 +128,7 @@ func RunShard(seed int64, quick bool) (Result, error) {
 			return nil, err
 		}
 		c := comp.Core
+		c.Clock = nil
 		c.Decider = dec
 		return core.NewService(c)
 	}
@@ -134,7 +136,9 @@ func RunShard(seed int64, quick bool) (Result, error) {
 	// reps against one fleet re-decides the same state. Both the wall
 	// time and the critical path take the best rep, damping scheduler
 	// noise the same way for the measured and projected columns.
-	timeDecide := func(svc *core.Service, eng *decideshard.Engine) (*core.Decision, time.Duration, time.Duration, error) {
+	// last holds the most recent cycle's shard timings (nil for the
+	// serial baseline).
+	timeDecide := func(svc *core.Service, last *core.CycleStats) (*core.Decision, time.Duration, time.Duration, error) {
 		var best, bestCrit time.Duration
 		var d *core.Decision
 		if _, err := svc.Decide(); err != nil { // untimed warmup
@@ -148,8 +152,8 @@ func RunShard(seed int64, quick bool) (Result, error) {
 			}
 			el := time.Since(start)
 			crit := el
-			if eng != nil && eng.Shards() > 1 {
-				crit = eng.LastCycle().CriticalPath()
+			if last != nil && last.Shards > 1 {
+				crit = last.CriticalPath()
 			}
 			if i == 0 || el < best {
 				best = el
@@ -178,18 +182,22 @@ func RunShard(seed int64, quick bool) (Result, error) {
 		SerialMS:   float64(serialBest) / float64(time.Millisecond),
 	}
 	for _, shards := range shardCounts {
-		eng := decideshard.New(decideshard.Options{Shards: shards})
-		svc, err := mkSvc(eng.Decide)
+		var last core.CycleStats
+		svc, err := mkSvc(func(cfg *core.Config) (*core.Decision, error) {
+			d, cs, err := cfg.DecideSharded(shards, 0)
+			last = cs
+			return d, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		d, best, critical, err := timeDecide(svc, eng)
+		d, best, critical, err := timeDecide(svc, &last)
 		if err != nil {
 			return nil, err
 		}
 		s := ShardSample{
 			Shards:   shards,
-			Workers:  eng.Workers(),
+			Workers:  min(shards, res.Gomaxprocs),
 			DecideMS: float64(best) / float64(time.Millisecond),
 			ParityOK: testkit.DecisionFingerprint(d) == fpSerial,
 		}

@@ -7,7 +7,6 @@ import (
 
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
-	"autocomp/internal/decideshard"
 	"autocomp/internal/maintenance"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/storage"
@@ -78,9 +77,9 @@ type Compiled struct {
 	// execution plane; Sched is its configuration.
 	HasExecution bool
 	Sched        scheduler.Config
-	// DecideShards is the sharded decide plane's shard count (0 or 1 =
-	// serial decide). When > 1, Core.Decider is already attached to a
-	// decideshard engine; consumers building an incremental feed should
+	// DecideShards is the decide pass's shard count (0 or 1 = serial
+	// decide). When > 1, Core.Decider already runs core's sharded pass
+	// at that count; consumers building an incremental feed should
 	// pass the same count to changefeed.NewFeedSharded so the retained
 	// pool partitions align with the decide shards.
 	DecideShards int
@@ -394,8 +393,11 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		}
 		if ex.DecideShards > 1 {
 			out.DecideShards = ex.DecideShards
-			eng := decideshard.New(decideshard.Options{Shards: ex.DecideShards, Workers: ex.DecideWorkers, Clock: env.Now})
-			out.Core.Decider = eng.Decide
+			shards, workers := ex.DecideShards, ex.DecideWorkers
+			out.Core.Decider = func(c *core.Config) (*core.Decision, error) {
+				d, _, err := c.DecideSharded(shards, workers)
+				return d, err
+			}
 		}
 		var staleness int64
 		if ex.StalenessBound != nil {

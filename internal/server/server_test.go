@@ -402,6 +402,53 @@ func TestSubmitInlineScenario(t *testing.T) {
 	}
 }
 
+// TestFinishedRunsCapped submits tenant.MaxFinishedRuns+3 short runs
+// that finish concurrently: the run list settles at the cap, the oldest
+// runs go first, and an evicted ID answers 404 like an unknown one.
+func TestFinishedRunsCapped(t *testing.T) {
+	ts, mgr := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"busy","days":1,"initial_tables":10}`), &tenant.Snapshot{})
+	tn, ok := mgr.Get("busy")
+	if !ok {
+		t.Fatal("tenant not registered")
+	}
+	spec := []byte(`{"spec":{"name":"tiny","seed":9,"days":1,"fleet":{"initial_tables":4}}}`)
+	var runs []*tenant.Run
+	for i := 0; i < tenant.MaxFinishedRuns+3; i++ {
+		var info tenant.RunInfo
+		if resp := doJSON(t, http.MethodPost, ts.URL+"/api/tenants/busy/runs", spec, &info); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		// The newest run is never the oldest finished one, so it is
+		// still registered here.
+		run, ok := tn.Run(info.ID)
+		if !ok {
+			t.Fatalf("run %s evicted while newest", info.ID)
+		}
+		runs = append(runs, run)
+	}
+	for _, run := range runs {
+		select {
+		case <-run.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %s never finished", run.ID())
+		}
+	}
+
+	var list []tenant.RunInfo
+	doJSON(t, http.MethodGet, ts.URL+"/api/tenants/busy/runs", nil, &list)
+	if len(list) != tenant.MaxFinishedRuns {
+		t.Fatalf("run list holds %d runs, want the cap %d", len(list), tenant.MaxFinishedRuns)
+	}
+	if list[0].ID != "r4" {
+		t.Fatalf("oldest retained run = %s, want r4", list[0].ID)
+	}
+	if resp := doJSON(t, http.MethodGet, ts.URL+"/api/tenants/busy/runs/r1", nil, &apiError{}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted run r1: status %d, want 404", resp.StatusCode)
+	}
+}
+
 func writeSpec(t *testing.T, path string, sp *policy.Spec) {
 	t.Helper()
 	b, err := sp.Marshal()

@@ -29,6 +29,45 @@ type tuneJob struct {
 	done    chan struct{}
 }
 
+// maxFinishedTunes caps the finished tune jobs the daemon retains, each
+// with its trial records and result. Past the cap the oldest finished
+// job is evicted; running jobs never are. An evicted ID answers 404
+// like an unknown one.
+const maxFinishedTunes = 16
+
+// finished reports whether the job reached a terminal state.
+func (j *tuneJob) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status != "running"
+}
+
+// pruneTunes evicts the oldest finished tune jobs beyond
+// maxFinishedTunes, keeping submission order.
+func (s *Server) pruneTunes() {
+	s.tuneMu.Lock()
+	defer s.tuneMu.Unlock()
+	excess := -maxFinishedTunes
+	for _, id := range s.tuneOrder {
+		if s.tunes[id].finished() {
+			excess++
+		}
+	}
+	if excess <= 0 {
+		return
+	}
+	kept := s.tuneOrder[:0]
+	for _, id := range s.tuneOrder {
+		if excess > 0 && s.tunes[id].finished() {
+			delete(s.tunes, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.tuneOrder = kept
+}
+
 // TuneJobInfo is the wire snapshot of a tune job.
 type TuneJobInfo struct {
 	ID      string `json:"id"`
@@ -209,6 +248,7 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 			job.result = res
 		}
 		job.mu.Unlock()
+		s.pruneTunes()
 		close(job.done)
 		if err != nil {
 			s.logf("mgmt: tune %s failed: %v", job.id, err)

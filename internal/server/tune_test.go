@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -161,5 +163,44 @@ func TestTuneAPIRejects(t *testing.T) {
 	resp := doJSON(t, "GET", ts.URL+"/api/tune/tune-1", nil, new(apiError))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %d", resp.StatusCode)
+	}
+}
+
+// TestFinishedTunesCapped fills the registry past maxFinishedTunes
+// behind one running job: pruning evicts the oldest finished jobs, never
+// the running one, and an evicted ID answers 404 like an unknown one.
+func TestFinishedTunesCapped(t *testing.T) {
+	s := &Server{tunes: map[string]*tuneJob{}}
+	add := func(status string) {
+		s.tuneSeq++
+		id := fmt.Sprintf("tune-%d", s.tuneSeq)
+		s.tunes[id] = &tuneJob{id: id, status: status}
+		s.tuneOrder = append(s.tuneOrder, id)
+	}
+	add("running")
+	for i := 0; i < maxFinishedTunes+3; i++ {
+		add("done")
+	}
+	s.pruneTunes()
+	if len(s.tuneOrder) != maxFinishedTunes+1 || len(s.tunes) != maxFinishedTunes+1 {
+		t.Fatalf("registry holds %d/%d jobs, want %d", len(s.tuneOrder), len(s.tunes), maxFinishedTunes+1)
+	}
+	if s.tuneOrder[0] != "tune-1" || s.tuneOrder[1] != "tune-5" {
+		t.Fatalf("retained order starts %v, want [tune-1 tune-5 ...]", s.tuneOrder[:2])
+	}
+
+	mux := http.NewServeMux()
+	s.registerTune(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	for id, want := range map[string]int{"tune-2": http.StatusNotFound, "tune-5": http.StatusOK, "tune-1": http.StatusOK} {
+		resp, err := http.Get(ts.URL + "/api/tune/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /api/tune/%s: status %d, want %d", id, resp.StatusCode, want)
+		}
 	}
 }

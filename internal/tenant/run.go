@@ -19,6 +19,12 @@ const (
 	RunFailed  RunStatus = "failed"
 )
 
+// MaxFinishedRuns caps the finished runs a tenant retains. Each keeps
+// its tracer events and canonical trace bytes, so a long-lived daemon
+// evicts the oldest finished run past the cap; pending and running runs
+// are never evicted. An evicted ID answers like an unknown one.
+const MaxFinishedRuns = 32
+
 // Run is one scenario execution submitted to a tenant over the
 // management API. The engine runs on its own goroutine with its own
 // fleet, clock, and RNG streams (scenario engines never touch the
@@ -126,8 +132,34 @@ func (t *Tenant) SubmitRun(spec *scenario.Spec) (*Run, error) {
 	t.runs[r.id] = r
 	t.runIDs = append(t.runIDs, r.id)
 	t.mu.Unlock()
-	go r.execute(t.cfg.Name)
+	go r.execute(t)
 	return r, nil
+}
+
+// pruneRuns evicts the oldest finished runs beyond MaxFinishedRuns,
+// keeping submission order.
+func (t *Tenant) pruneRuns() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	excess := -MaxFinishedRuns
+	for _, id := range t.runIDs {
+		if t.runs[id].finished() {
+			excess++
+		}
+	}
+	if excess <= 0 {
+		return
+	}
+	kept := t.runIDs[:0]
+	for _, id := range t.runIDs {
+		if excess > 0 && t.runs[id].finished() {
+			delete(t.runs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	t.runIDs = kept
 }
 
 // Run returns the identified run.
@@ -150,11 +182,13 @@ func (t *Tenant) Runs() []*Run {
 }
 
 // execute drives the scenario engine to completion, stepping day by
-// day so Info reports live progress.
-func (r *Run) execute(tenant string) {
+// day so Info reports live progress, then prunes t's finished runs
+// before signalling Done.
+func (r *Run) execute(t *Tenant) {
 	defer close(r.done)
+	defer t.pruneRuns()
 	eng, err := scenario.NewEngineOpts(r.spec, scenario.EngineOptions{
-		Tenant: tenant,
+		Tenant: r.tenant,
 		Tracer: r.tracer,
 	})
 	if err != nil {
@@ -172,6 +206,13 @@ func (r *Run) execute(tenant string) {
 		r.mu.Unlock()
 	}
 	r.finish(eng.Finalize().Marshal(), nil)
+}
+
+// finished reports whether the run reached a terminal state.
+func (r *Run) finished() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.status == RunDone || r.status == RunFailed
 }
 
 func (r *Run) setStatus(s RunStatus) {
