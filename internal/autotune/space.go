@@ -93,6 +93,11 @@ func (s *Space) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// maxIntKnob is the largest integer-knob bound a space may declare:
+// float64 holds every integer up to 2^53 exactly, and it converts to an
+// int64 without wrapping.
+const maxIntKnob = 1 << 53
+
 // fieldKind classifies catalog entries.
 type fieldKind int
 
@@ -395,6 +400,11 @@ func (s *Space) Validate(base *policy.Spec) error {
 		}
 		if d.Min < def.floor {
 			fail("%s: min %v below the field's floor %v", where, d.Min, def.floor)
+		}
+		// Integer knobs decode through an int conversion, which wraps
+		// silently past the exactly representable range.
+		if def.kind == kindInt && d.Max > maxIntKnob {
+			fail("%s: max %v above the integer ceiling %v", where, d.Max, float64(maxIntKnob))
 		}
 		if def.weight && d.Min < 0 {
 			fail("%s: objective weights must be >= 0", where)

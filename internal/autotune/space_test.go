@@ -164,6 +164,7 @@ func TestSpaceValidateRejects(t *testing.T) {
 		{"min >= max", Space{Dimensions: []Dimension{{Field: "execution.workers", Min: 8, Max: 8}}}},
 		{"log with min 0", Space{Dimensions: []Dimension{{Field: "execution.shard_budget_gbhr", Min: 0, Max: 10, Log: true}}}},
 		{"below floor", Space{Dimensions: []Dimension{{Field: "execution.workers", Min: 0, Max: 8}}}},
+		{"int above ceiling", Space{Dimensions: []Dimension{{Field: "execution.workers", Min: 1, Max: 1e19}}}},
 		{"one choice", Space{Dimensions: []Dimension{{Field: "generator", Choices: []string{"table-scope"}}}}},
 		{"choice with range", Space{Dimensions: []Dimension{{Field: "generator", Min: 1, Max: 2, Choices: []string{"table-scope", "partition-scope"}}}}},
 		{"base not among choices", Space{Dimensions: []Dimension{{Field: "generator", Choices: []string{"partition-scope", "hybrid-scope"}}}}},

@@ -54,11 +54,6 @@ type TablePolicies struct {
 	TriggerBytesWritten int64
 }
 
-// DefaultPolicies returns the control plane's default table policies.
-func DefaultPolicies() TablePolicies {
-	return TablePolicies{RetainSnapshots: 20, CheckpointEveryVersions: 100}
-}
-
 // Overlay returns p with o's set fields (positive values; Intermediate
 // true) overriding — the field-wise merge the layered policy resolution
 // uses, most specific layer last.
@@ -171,8 +166,7 @@ func (cp *ControlPlane) Databases() []string {
 // with db) and no explicitly set policies: every field is left zero, so
 // the table inherits database-level overrides and consumer defaults
 // through the layered resolution (EffectivePolicies) instead of pinning
-// a frozen copy of DefaultPolicies that would mask later database-wide
-// changes.
+// a frozen copy of defaults that would mask later database-wide changes.
 func (cp *ControlPlane) CreateTable(db string, cfg lst.TableConfig) (*lst.Table, error) {
 	return cp.CreateTableWithPolicies(db, cfg, TablePolicies{})
 }
@@ -289,8 +283,7 @@ func (cp *ControlPlane) DatabasePolicies(db string) (TablePolicies, bool) {
 // database-level overrides first, then the table's own set fields on
 // top (most specific wins field-wise). Only operator-set fields appear;
 // fields no layer sets stay zero, and consumers apply their own
-// defaults (the policy spec layers beneath, through policy.Source;
-// DefaultPolicies for retention).
+// defaults (the policy spec layers beneath, through policy.Source).
 func (cp *ControlPlane) EffectivePolicies(db, name string) (TablePolicies, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -435,49 +428,6 @@ func (cp *ControlPlane) QuotaUtilization(db string) float64 {
 		return 0
 	}
 	return q.Utilization()
-}
-
-// RunRetention is the data service that reconciles snapshot retention
-// policies across the lake; it returns the number of storage objects
-// reclaimed. Retention targets resolve through the policy layers:
-// DefaultPolicies, database-level overrides, then the table's own set
-// fields.
-func (cp *ControlPlane) RunRetention() (int, error) {
-	cp.mu.Lock()
-	type job struct {
-		table *lst.Table
-		keep  int
-	}
-	jobs := make([]job, 0, cp.TableCountLocked())
-	for db, ts := range cp.tables {
-		for _, e := range ts {
-			pol := DefaultPolicies().Overlay(cp.dbPolicies[db]).Overlay(e.policies)
-			jobs = append(jobs, job{table: e.table, keep: pol.RetainSnapshots})
-		}
-	}
-	cp.mu.Unlock()
-
-	total := 0
-	for _, j := range jobs {
-		if j.keep < 1 {
-			j.keep = 1
-		}
-		n, err := j.table.ExpireSnapshots(j.keep)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// TableCountLocked returns the table count; caller must hold cp.mu.
-func (cp *ControlPlane) TableCountLocked() int {
-	n := 0
-	for _, ts := range cp.tables {
-		n += len(ts)
-	}
-	return n
 }
 
 // TableAge returns how long ago the table was created.

@@ -150,29 +150,6 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-func TestRunRetention(t *testing.T) {
-	cp, clock := newCP()
-	cp.CreateDatabase("db", "t", 0)
-	tbl, _ := cp.CreateTableWithPolicies("db", lst.TableConfig{Name: "x"},
-		TablePolicies{RetainSnapshots: 2})
-	for i := 0; i < 8; i++ {
-		clock.Advance(time.Minute)
-		if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: storage.MB, RowCount: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reclaimed, err := cp.RunRetention()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed == 0 {
-		t.Fatal("retention reclaimed nothing")
-	}
-	if got := len(tbl.Snapshots()); got != 2 {
-		t.Fatalf("snapshots after retention = %d", got)
-	}
-}
-
 func TestTableAge(t *testing.T) {
 	cp, clock := newCP()
 	cp.CreateDatabase("db", "t", 0)

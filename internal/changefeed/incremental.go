@@ -337,68 +337,11 @@ type IncrementalGenerator struct {
 func (g *IncrementalGenerator) Name() string { return "incremental(" + g.Inner.Name() + ")" }
 
 // Candidates implements core.Generator. tables must be the list the
-// paired IncrementalConnector returned this cycle.
+// paired IncrementalConnector returned this cycle. It is the one-shard
+// case of ShardCandidates: a full scan emits the fresh output as is,
+// any other cycle the retained pool sorted by candidate ID.
 func (g *IncrementalGenerator) Candidates(tables []core.Table) []*core.Candidate {
-	fresh := g.Inner.Candidates(tables)
-	f := g.feed
-	full := f.isFull()
-	f.mu.Lock()
-	parts, shards := f.parts, f.shards
-	f.mu.Unlock()
-
-	var out []*core.Candidate
-	if full {
-		// Full rebuild: the retained pool becomes exactly this scan's
-		// output; entries of dropped tables vanish with the old maps.
-		for _, p := range parts {
-			p.mu.Lock()
-			p.retained = make(map[string][]*core.Candidate)
-			p.mu.Unlock()
-		}
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			p.retained[name] = append(p.retained[name], c)
-			p.mu.Unlock()
-		}
-		for _, p := range parts {
-			p.mu.Lock()
-			p.syncLocked()
-			p.mu.Unlock()
-		}
-		out = fresh
-	} else {
-		// Replace the regenerated tables' entries (a table whose state
-		// no longer yields candidates drops out), keep the rest.
-		for _, t := range tables {
-			name := t.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			delete(p.retained, name)
-			p.mu.Unlock()
-		}
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			p.retained[name] = append(p.retained[name], c)
-			p.mu.Unlock()
-		}
-		for _, p := range parts {
-			p.mu.Lock()
-			for _, cs := range p.retained {
-				out = append(out, cs...)
-			}
-			p.syncLocked()
-			p.mu.Unlock()
-		}
-		// Deterministic pool order; ranking is order-independent (score
-		// plus ID tie-break), so this only stabilizes logs and tests.
-		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	}
-	f.notePool()
-	return out
+	return g.ShardCandidates(0, 1, tables)
 }
 
 // ShardCandidates implements core.ShardedGenerator: one decide shard's

@@ -34,8 +34,9 @@ type Decider func(*Config) (*Decision, error)
 // appending Candidates({t}) over ts in order, and no candidate
 // references a table outside its input. Table-local generators can be
 // fanned out across decide shards by partitioning the table list; the
-// built-in scope generators and the maintenance generator all qualify,
-// while time-windowed or cross-table generators must not claim it.
+// built-in scope generators and the policy plane's maintenance generator
+// all qualify (so the shipped unified chain generates per shard), while
+// time-windowed or cross-table generators must not claim it.
 type TableLocalGenerator interface {
 	Generator
 	// TableLocal reports whether the generator currently satisfies the

@@ -206,6 +206,43 @@ func TestShardParityGeneratorFallback(t *testing.T) {
 	}
 }
 
+// TestShardParityDefaultSpecGeneratesPerShard pins the shipped default
+// pipeline's generator chain as table-local: a sharded decide over the
+// compiled DefaultSpec (data generator plus maintenance generator, budget
+// selector) generates per shard instead of falling back to one serial
+// generate, and still decides byte-identically to the serial pass.
+func TestShardParityDefaultSpecGeneratesPerShard(t *testing.T) {
+	serialFleet, shardFleet := twinFleets(5, 120)
+	serialFleet.AdvanceDay()
+	shardFleet.AdvanceDay()
+	serialCfg := compiledConfig(t, serialFleet, policy.DefaultSpec())
+	dSerial, err := serialCfg.DecideSerial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCfg := compiledConfig(t, shardFleet, policy.DefaultSpec())
+	dShard, cs, err := shardCfg.DecideSharded(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.GenerateFallback {
+		t.Fatal("default spec's generator chain fell back to serial generation")
+	}
+	meta := 0
+	for _, c := range dSerial.Ranked {
+		if c.Action != core.ActionDataCompaction {
+			meta++
+		}
+	}
+	if meta == 0 || meta == len(dSerial.Ranked) {
+		t.Fatalf("ranked %d candidates, %d metadata: want both kinds", len(dSerial.Ranked), meta)
+	}
+	if a, b := testkit.DecisionFingerprint(dSerial), testkit.DecisionFingerprint(dShard); a != b {
+		t.Fatalf("default spec parity broken\nserial:\n%s\nsharded:\n%s",
+			testkit.Head(a, 20), testkit.Head(b, 20))
+	}
+}
+
 // TestShardParityBudgetSelector pins the selector interaction: the
 // budget selector walks the full merged ranking (greedy skip, not
 // stop), so any ordering slip past the top-k would surface here.

@@ -97,7 +97,8 @@ func (r ShardResult) Details() any {
 // seeded fleets under the unified maintenance pipeline. Per point it
 // measures decide wall time (best of reps), reads the cycle's per-shard
 // timing for the critical-path projection, and asserts byte-identical
-// decision fingerprints against the serial baseline.
+// decision fingerprints against the serial baseline. A sharded point
+// whose generate or rank stage fell back to serial is an error.
 func RunShard(seed int64, quick bool) (Result, error) {
 	// The shard sweep stays at paper scale even under -quick: the decide
 	// phase must be large enough (100k tables) for the per-shard timing
@@ -194,6 +195,14 @@ func RunShard(seed int64, quick bool) (Result, error) {
 		d, best, critical, err := timeDecide(svc, &last)
 		if err != nil {
 			return nil, err
+		}
+		// A serial-path degradation would time a different pipeline
+		// than the one the sweep claims to project: generation or
+		// ranking outside the per-shard timers understates the
+		// critical path.
+		if shards > 1 && (last.GenerateFallback || last.RankFallback) {
+			return nil, fmt.Errorf("shards=%d: decide fell back to serial (generate %v, rank %v)",
+				shards, last.GenerateFallback, last.RankFallback)
 		}
 		s := ShardSample{
 			Shards:   shards,

@@ -214,8 +214,8 @@ func (t *Table) avgMetaObjectBytes() int64 {
 	return t.metaBytes / objects
 }
 
-// MetadataStats implements maintenance.MetadataTable on the aggregate
-// model.
+// MetadataStats serves the policy plane's maintenance observer on the
+// aggregate model.
 func (t *Table) MetadataStats() lst.MetadataStats {
 	consolidated := lst.ConsolidatedManifestCount(t.FileCount(), lst.DefaultManifestEntriesPerFile)
 	last := int64(-1)
@@ -240,7 +240,7 @@ func (t *Table) MetadataStats() lst.MetadataStats {
 	}
 }
 
-// ExpireEstimate implements maintenance.MetadataTable: history objects
+// ExpireEstimate serves the maintenance observer: history objects
 // are spread roughly uniformly over snapshots, so expiring a fraction of
 // the history reclaims that fraction of manifests and old metadata.jsons.
 func (t *Table) ExpireEstimate(keepLast int) int {
@@ -255,9 +255,10 @@ func (t *Table) ExpireEstimate(keepLast int) int {
 	return int(float64(t.manifests)*frac + float64(t.metaJSONs-1)*frac)
 }
 
-// ExpireSnapshots implements maintenance.Maintainer on the aggregate
-// model: it trims the history to keepLast snapshots and reclaims the
-// proportional share of manifests and old metadata.json versions.
+// ExpireSnapshots serves the policy plane's maintenance runner on the
+// aggregate model: it trims the history to keepLast snapshots and
+// reclaims the proportional share of manifests and old metadata.json
+// versions.
 func (t *Table) ExpireSnapshots(keepLast int) (int, error) {
 	if keepLast < 1 {
 		keepLast = 1
@@ -281,7 +282,7 @@ func (t *Table) ExpireSnapshots(keepLast int) (int, error) {
 	return int(removedM + removedJ), nil
 }
 
-// Checkpoint implements maintenance.Maintainer: the metadata log
+// Checkpoint serves the maintenance runner: the metadata log
 // collapses to the current metadata.json plus one checkpoint object
 // embedding the live file listing and retained history.
 func (t *Table) Checkpoint() (lst.MaintenanceResult, error) {
@@ -312,8 +313,8 @@ func (t *Table) Checkpoint() (lst.MaintenanceResult, error) {
 	return res, nil
 }
 
-// RewriteManifests implements maintenance.Maintainer: manifests repack to
-// the live file entries at full density; the version history stays.
+// RewriteManifests serves the maintenance runner: manifests repack to the
+// live file entries at full density; the version history stays.
 func (t *Table) RewriteManifests() (lst.MaintenanceResult, error) {
 	var res lst.MaintenanceResult
 	consolidated := int64(lst.ConsolidatedManifestCount(t.FileCount(), lst.DefaultManifestEntriesPerFile))

@@ -49,7 +49,7 @@ func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Confi
 // fleet's observers set, so a cache hit is byte-identical to a fresh
 // observation: fleet.Observer derives TableAge/SinceLastWrite from the
 // clock and QuotaUtilization from the tenant's (shared, mutable) quota;
-// maintenance.Observer sets the ages but never the quota.
+// the maintenance observer sets the ages but never the quota.
 func (f *Fleet) statsRefresher() func(*core.Candidate, *core.Stats) {
 	return func(c *core.Candidate, s *core.Stats) {
 		now := f.clock.Now()

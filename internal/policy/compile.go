@@ -7,7 +7,6 @@ import (
 
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/storage"
 )
@@ -53,11 +52,12 @@ func (e Env) registry() *Registry {
 // of the spec's own override patches.
 type Bindings struct {
 	Connector core.Connector
-	// Observer observes data-compaction candidates (the maintenance
-	// observer wraps it for metadata candidates).
+	// Observer observes data-compaction candidates (a maintenance
+	// section routes metadata candidates to the maintenance observer).
 	Observer core.Observer
 	// Runner executes data-compaction candidates (nil for decide-only
-	// pipelines; the maintenance runner wraps it).
+	// pipelines; a maintenance section routes metadata candidates to
+	// the maintenance runner).
 	Runner core.Runner
 	// Catalog, when set, contributes the top override layers and serves
 	// per-table trigger policies to the changefeed.
@@ -91,10 +91,9 @@ type Compiled struct {
 	Trigger        changefeed.TriggerPolicy
 	Triggers       changefeed.PolicyFunc
 	ReconcileEvery int
-	// Maintenance is the base maintenance policy (zero when the spec is
-	// data-only); Source resolves the layered per-table policies.
-	Maintenance maintenance.Policy
-	Source      *Source
+	// Source resolves the layered per-table maintenance and trigger
+	// policies.
+	Source *Source
 	// Storage is the validated storage section (zero Backend means the
 	// in-memory default; Backend "log" means the consumer should open an
 	// lstlog store at Root and persist the lake).
@@ -184,11 +183,12 @@ func Validate(s *Spec, env Env) error {
 }
 
 // Compile resolves a spec into runnable configuration: the core.Config
-// for the decision pipeline (with maintenance wrapping when enabled),
-// the scheduler.Config for the execution plane, and the changefeed
-// trigger policy for the observation plane. Compilation collects every
-// error rather than stopping at the first, so `lakectl policy validate`
-// reports the full damage in one pass.
+// for the decision pipeline (with the maintenance components when the
+// spec has a maintenance section), the scheduler.Config for the
+// execution plane, and the changefeed trigger policy for the
+// observation plane. Compilation collects every error rather than
+// stopping at the first, so `lakectl policy validate` reports the full
+// damage in one pass.
 func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	if s == nil {
 		return nil, errors.New("policy: nil spec")
@@ -196,8 +196,10 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	bld := NewBuilder(env)
 	var errs []error
 	fail := func(err error) { errs = append(errs, err) }
+	out := &Compiled{Spec: s, Source: NewSource(s, b.Catalog)}
 
-	// Generator chain.
+	// Generator chain: the data generators, then the maintenance
+	// generator when the spec has a maintenance section.
 	var gens []core.Generator
 	for _, c := range s.Generators {
 		g, err := bld.Generator(c)
@@ -209,6 +211,9 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	}
 	if len(s.Generators) == 0 && s.Maintenance == nil {
 		fail(errors.New("policy: spec needs at least one generator (or a maintenance section for a metadata-only pipeline)"))
+	}
+	if s.Maintenance != nil {
+		gens = append(gens, maintenanceGenerator{src: out.Source})
 	}
 	var gen core.Generator
 	switch len(gens) {
@@ -342,10 +347,8 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		fail(err)
 	}
 
-	out := &Compiled{Spec: s}
-	out.Source = NewSource(s, b.Catalog)
-
-	// Assemble the core config, wrapping for unified maintenance.
+	// Assemble the core config; a maintenance section routes metadata
+	// candidates through the maintenance observer and runner.
 	cfg := core.Config{
 		Connector:    b.Connector,
 		Generator:    gen,
@@ -360,14 +363,12 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		Runner:       b.Runner,
 	}
 	if s.Maintenance != nil {
-		out.Maintenance = s.Maintenance.policy()
-		cfg.Generator = maintenance.Generator{Data: gen, Policies: out.Source}
-		cfg.Observer = maintenance.Observer{Base: b.Observer, Policies: out.Source, Now: env.Now}
-		cfg.Runner = maintenance.Runner{
-			Data:                b.Runner,
-			Policies:            out.Source,
-			ExecutorMemoryGB:    env.ExecutorMemoryGB,
-			RewriteBytesPerHour: env.RewriteBytesPerHour,
+		cfg.Observer = maintenanceObserver{data: b.Observer, src: out.Source, now: env.Now}
+		cfg.Runner = maintenanceRunner{
+			data:                b.Runner,
+			src:                 out.Source,
+			executorMemoryGB:    env.ExecutorMemoryGB,
+			rewriteBytesPerHour: env.RewriteBytesPerHour,
 		}
 	}
 	// Latency telemetry runs on the environment's clock: virtual time

@@ -4,7 +4,6 @@ import (
 	"autocomp/internal/catalog"
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
 )
 
 // CatalogReader serves the control plane's stored policy layers.
@@ -26,8 +25,8 @@ type CatalogReader interface {
 //
 // The spec layers travel with the policy file; the catalog layers are
 // the control plane's live, operator-set state (present only when a
-// catalog was bound at compile time). Source implements
-// maintenance.PolicySource, and TriggerFor is a changefeed.PolicyFunc.
+// catalog was bound at compile time). PolicyFor feeds the maintenance
+// generator, observer and runner; TriggerFor is a changefeed.PolicyFunc.
 type Source struct {
 	spec *Spec
 	cat  CatalogReader
@@ -38,22 +37,9 @@ func NewSource(spec *Spec, cat CatalogReader) *Source {
 	return &Source{spec: spec, cat: cat}
 }
 
-// policy converts the base maintenance section wholesale (zeros mean
-// the action family is off, exactly like maintenance.Policy).
-func (m *MaintenanceSpec) policy() maintenance.Policy {
-	if m == nil {
-		return maintenance.Policy{}
-	}
-	return maintenance.Policy{
-		RetainSnapshots:         m.RetainSnapshots,
-		CheckpointEveryVersions: m.CheckpointEveryVersions,
-		MinManifestSurplus:      m.MinManifestSurplus,
-	}
-}
-
 // overlay applies the patch's non-zero fields; negative values are
 // carried through (they disable the action for the matched scope).
-func (m *MaintenanceSpec) overlay(p *maintenance.Policy) {
+func (m *MaintenanceSpec) overlay(p *MaintenanceSpec) {
 	if m == nil {
 		return
 	}
@@ -84,7 +70,7 @@ func (t *TriggerSpec) overlay(p *changefeed.TriggerPolicy) {
 // overlayCatalogPolicy applies the positive fields of a stored catalog
 // policy onto a maintenance policy (the catalog cannot disable an action
 // family; that is done in the spec).
-func overlayCatalogPolicy(p *maintenance.Policy, pol catalog.TablePolicies) {
+func overlayCatalogPolicy(p *MaintenanceSpec, pol catalog.TablePolicies) {
 	if pol.RetainSnapshots > 0 {
 		p.RetainSnapshots = pol.RetainSnapshots
 	}
@@ -104,9 +90,14 @@ func overlayCatalogTrigger(p *changefeed.TriggerPolicy, pol catalog.TablePolicie
 	}
 }
 
-// PolicyFor implements maintenance.PolicySource with layered resolution.
-func (s *Source) PolicyFor(db, name string) maintenance.Policy {
-	out := s.spec.Maintenance.policy()
+// PolicyFor resolves a table's effective maintenance policy. The base
+// section applies wholesale (a zero field turns its action family off);
+// the layers above overlay it field-wise.
+func (s *Source) PolicyFor(db, name string) MaintenanceSpec {
+	var out MaintenanceSpec
+	if s.spec.Maintenance != nil {
+		out = *s.spec.Maintenance
+	}
 	if p, ok := s.spec.Databases[db]; ok && p != nil {
 		p.Maintenance.overlay(&out)
 	}

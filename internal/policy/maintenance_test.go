@@ -1,4 +1,4 @@
-package maintenance
+package policy
 
 import (
 	"testing"
@@ -11,9 +11,15 @@ import (
 	"autocomp/internal/storage"
 )
 
-// lake builds a control plane with one database and n tables, each aged
-// with commits single-file appends.
-func lake(t *testing.T, n, commits int) (*catalog.ControlPlane, *sim.Clock) {
+// maintenanceSource resolves m as the base maintenance policy of every
+// table.
+func maintenanceSource(m MaintenanceSpec) *Source {
+	return NewSource(&Spec{Maintenance: &m}, nil)
+}
+
+// maintLake builds a control plane with one database and n tables, each
+// aged with commits single-file appends.
+func maintLake(t *testing.T, n, commits int) (*catalog.ControlPlane, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
 	fs := storage.NewNameNode(storage.DefaultConfig(), clock, sim.NewRNG(1))
@@ -40,14 +46,14 @@ func lake(t *testing.T, n, commits int) (*catalog.ControlPlane, *sim.Clock) {
 }
 
 func TestGeneratorEmitsPerPolicyTriggers(t *testing.T) {
-	cp, _ := lake(t, 1, 30)
+	cp, _ := maintLake(t, 1, 30)
 	tables := core.CatalogConnector{CP: cp}.Tables()
 
 	// All three triggers fire: 30 snapshots > 5 retained, 30 versions
 	// >= 10, 30 manifests vs 1 consolidated.
-	gen := Generator{Policies: StaticPolicies{Policy: Policy{
+	gen := maintenanceGenerator{src: maintenanceSource(MaintenanceSpec{
 		RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8,
-	}}}
+	})}
 	cands := gen.Candidates(tables)
 	byAction := map[core.ActionType]int{}
 	for _, c := range cands {
@@ -60,25 +66,27 @@ func TestGeneratorEmitsPerPolicyTriggers(t *testing.T) {
 	}
 
 	// A lax policy silences every trigger.
-	lax := Generator{Policies: StaticPolicies{Policy: Policy{
+	lax := maintenanceGenerator{src: maintenanceSource(MaintenanceSpec{
 		RetainSnapshots: 100, CheckpointEveryVersions: 100, MinManifestSurplus: 100,
-	}}}
+	})}
 	if got := lax.Candidates(tables); len(got) != 0 {
 		t.Fatalf("lax policy generated %d candidates", len(got))
 	}
 
 	// Zero values disable the trigger families outright.
-	off := Generator{Policies: StaticPolicies{Policy: Policy{}}}
+	off := maintenanceGenerator{src: maintenanceSource(MaintenanceSpec{})}
 	if got := off.Candidates(tables); len(got) != 0 {
 		t.Fatalf("disabled policy generated %d candidates", len(got))
 	}
 }
 
 func TestObserverFillsMetadataStats(t *testing.T) {
-	cp, clock := lake(t, 1, 20)
+	cp, clock := maintLake(t, 1, 20)
 	tbl := core.CatalogConnector{CP: cp}.Tables()[0]
-	pol := StaticPolicies{Policy: Policy{RetainSnapshots: 4, CheckpointEveryVersions: 10}}
-	obs := Observer{Policies: pol, Now: clock.Now}
+	obs := maintenanceObserver{
+		src: maintenanceSource(MaintenanceSpec{RetainSnapshots: 4, CheckpointEveryVersions: 10}),
+		now: clock.Now,
+	}
 
 	ckpt := &core.Candidate{Table: tbl, Action: core.ActionMetadataCheckpoint}
 	s, err := obs.Observe(ckpt)
@@ -108,15 +116,20 @@ func TestObserverFillsMetadataStats(t *testing.T) {
 	if s.MetadataBytes >= ckptStats.MetadataBytes {
 		t.Fatalf("expiry bytes %d >= checkpoint bytes %d", s.MetadataBytes, ckptStats.MetadataBytes)
 	}
+
+	// A data candidate without a data observer is a hard error.
+	if _, err := obs.Observe(&core.Candidate{Table: tbl}); err == nil {
+		t.Fatal("data candidate without data observer succeeded")
+	}
 }
 
 func TestRunnerDispatchesActions(t *testing.T) {
-	cp, _ := lake(t, 1, 20)
+	cp, _ := maintLake(t, 1, 20)
 	tbl := core.CatalogConnector{CP: cp}.Tables()[0]
-	r := Runner{
-		Policies:            StaticPolicies{Policy: Policy{RetainSnapshots: 5}},
-		ExecutorMemoryGB:    64,
-		RewriteBytesPerHour: float64(3 * storage.TB),
+	r := maintenanceRunner{
+		src:                 maintenanceSource(MaintenanceSpec{RetainSnapshots: 5}),
+		executorMemoryGB:    64,
+		rewriteBytesPerHour: float64(3 * storage.TB),
 	}
 
 	res := r.Run(&core.Candidate{Table: tbl, Action: core.ActionSnapshotExpiry})

@@ -11,7 +11,6 @@ import (
 	"autocomp/internal/catalog"
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -199,12 +198,20 @@ func TestCompileDefaultSpecShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, ok := comp.Core.Generator.(maintenance.Generator)
-	if !ok {
-		t.Fatalf("generator = %T", comp.Core.Generator)
+	// The chain is the data generator, then the maintenance generator;
+	// both are table-local, so a sharded decide generates per shard.
+	gen, ok := comp.Core.Generator.(core.MultiGenerator)
+	if !ok || len(gen) != 2 {
+		t.Fatalf("generator = %#v", comp.Core.Generator)
 	}
-	if _, ok := gen.Data.(core.TableScopeGenerator); !ok {
-		t.Fatalf("data generator = %T", gen.Data)
+	if _, ok := gen[0].(core.TableScopeGenerator); !ok {
+		t.Fatalf("data generator = %T", gen[0])
+	}
+	if _, ok := gen[1].(maintenanceGenerator); !ok {
+		t.Fatalf("maintenance generator = %T", gen[1])
+	}
+	if !gen.TableLocal() {
+		t.Fatal("default generator chain is not table-local")
 	}
 	sel, ok := comp.Core.Selector.(core.BudgetSelector)
 	if !ok || sel.BudgetGBHr != 50*1024 {
@@ -226,8 +233,8 @@ func TestCompileDefaultSpecShape(t *testing.T) {
 	if comp.Incremental {
 		t.Fatal("default spec should not enable the observation plane")
 	}
-	if comp.Maintenance != (maintenance.Policy{RetainSnapshots: 20, CheckpointEveryVersions: 100, MinManifestSurplus: 8}) {
-		t.Fatalf("maintenance = %+v", comp.Maintenance)
+	if got := comp.Source.PolicyFor("db1", "t1"); got != (MaintenanceSpec{RetainSnapshots: 20, CheckpointEveryVersions: 100, MinManifestSurplus: 8}) {
+		t.Fatalf("maintenance = %+v", got)
 	}
 }
 
